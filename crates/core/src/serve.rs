@@ -32,17 +32,35 @@
 //! round in-flight sequences run their single pending token — *decode*),
 //! then the tied LM head and per-request sampling. Parameter H2D overlaps
 //! decode compute exactly as it overlaps training compute: the prefetcher
-//! thread stages layer `i+1` while the compute loop walks every active
-//! slot through layer `i`.
+//! thread stages layer `i+1` while the compute loop runs layer `i`.
+//!
+//! The compute loop runs each layer once for all slots together. Every
+//! active slot's pending rows are stacked, in slot order, into one
+//! `[ΣR, H]` activation (Orca-style selective batching), and each streamed
+//! layer runs over the whole stack with [`Block::forward_decode_batch`]:
+//! LN1 → QKV → proj → LN2 → fc1 → GELU → fc2 are single GEMMs and
+//! row-wise ops, so each weight matrix is packed once per round instead
+//! of once per slot. The
+//! only per-slot step is the ragged attention section, where each slot's
+//! rows push to and attend over its own KV cache;
+//! [`ServeConfig::compute_workers`] fans those runs across threads. The
+//! head works the same way: each slot's last row is gathered into
+//! `[B, H]` for one final layernorm and one `[B, vocab]` product, then
+//! every slot samples from its own logits row. The stacked activations
+//! and all intermediates live in one engine-owned batch workspace, grown
+//! on first use and reused every round.
 //!
 //! ## Determinism
 //!
 //! Each sequence's math touches only its own KV cache, the shared streamed
-//! weights, and its own seeded sampling RNG; every product runs through the
-//! batch-stable GEMM entries and every softmax covers exactly the causal
-//! prefix. Token streams are therefore bit-identical across window sizes,
-//! slot counts, worker counts, arrival interleavings, and prefill/decode
-//! splits — asserted by the integration suite.
+//! weights, and its own seeded sampling RNG. Stacking does not change the
+//! bits: every product runs through the batch-stable (`_stable`) GEMM
+//! entries, whose per-row result does not depend on how many rows share
+//! the call; layernorm and GELU are row- and element-wise; and every
+//! softmax covers exactly one sequence's causal prefix. Token streams are
+//! therefore bit-identical across window sizes, slot counts, worker
+//! counts, arrival interleavings, and prefill/decode splits — asserted by
+//! the integration suite.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -76,8 +94,10 @@ pub struct ServeConfig {
     /// Per-sequence token capacity; `0` means the model's trained context
     /// (`cfg.seq`). Clamped to the positional table.
     pub max_seq: usize,
-    /// Compute threads fanning active slots within one layer. `1` keeps the
-    /// whole round on the driver thread.
+    /// Threads fanning the per-slot ragged attention section of each layer
+    /// across the round's sequences (the linears are one stacked GEMM per
+    /// layer and need no fan-out). `1` keeps the whole round on the driver
+    /// thread.
     pub compute_workers: usize,
     /// Device-side parameter precision: H2D payloads shrink to half width
     /// and the device computes on the half grid, exactly as in training.
@@ -128,9 +148,10 @@ pub struct GenResult {
     pub prompt_len: usize,
     /// Generated tokens, in order.
     pub tokens: Vec<u32>,
-    /// Nanoseconds from submission to the first generated token.
+    /// Nanoseconds from admission into a slot to the first generated
+    /// token (time spent queued before admission is not included).
     pub ttft_ns: u64,
-    /// Nanoseconds from submission to completion.
+    /// Nanoseconds from admission into a slot to completion.
     pub latency_ns: u64,
     /// Engine rounds this request was active in.
     pub rounds: u64,
@@ -148,21 +169,22 @@ struct ActiveReq {
     /// Tokens to run this round: the prompt on the admission round
     /// (prefill), the last sampled token after (decode).
     pending: Vec<u32>,
-    submit_ns: u64,
+    admitted_ns: u64,
     ttft_ns: Option<u64>,
     rounds: u64,
 }
 
-/// One sequence slot: per-layer KV caches plus the per-slot compute
-/// workspace, all preallocated so slot reuse never allocates.
-struct Slot {
-    kv: Vec<KvCache>,
-    ws: BlockDecodeScratch,
-    head_ws: HeadDecodeScratch,
+/// The engine-owned batch workspace: the round's stacked activation and
+/// every intermediate of the layer and head passes, grown on first use and
+/// reused every round.
+struct DecodeBatch {
+    /// Pending rows per slot this round, in slot order (`0` = idle slot).
+    runs: Vec<usize>,
     x: Tensor,
     y: Tensor,
+    ws: BlockDecodeScratch,
+    head_ws: HeadDecodeScratch,
     logits: Tensor,
-    active: Option<ActiveReq>,
 }
 
 /// The continuous-batching generation engine.
@@ -173,13 +195,16 @@ pub struct ServeEngine {
     prefetch_stage: Vec<f32>,
     prefetch_pack: PackedHalf,
     device: Arc<HostDevice>,
-    slots: Vec<Slot>,
+    /// The KV arena, layer-major: `kv[layer][slot]`, so one layer's caches
+    /// for every slot are one slice.
+    kv: Vec<Vec<KvCache>>,
+    slots: Vec<Option<ActiveReq>>,
+    batch: DecodeBatch,
     queue: VecDeque<GenRequest>,
     window: usize,
     block_bytes: u64,
     kv_bytes: u64,
     max_seq: usize,
-    compute_workers: usize,
     precision: Precision,
     temperature: f32,
     tel: Telemetry,
@@ -194,6 +219,7 @@ pub struct ServeEngine {
     g_active: Gauge,
     g_queue: Gauge,
     h_round: Histogram,
+    h_batch_rows: Histogram,
     h_ttft: Histogram,
     h_latency: Histogram,
 }
@@ -253,19 +279,21 @@ impl ServeEngine {
 
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;
-        let slots = (0..cfg.slots)
-            .map(|_| Slot {
-                kv: (0..layers)
+        let kv = (0..layers)
+            .map(|_| {
+                (0..cfg.slots)
                     .map(|_| KvCache::new(heads, dh, max_seq))
-                    .collect(),
-                ws: BlockDecodeScratch::new(),
-                head_ws: HeadDecodeScratch::new(),
-                x: Tensor::zeros([1]),
-                y: Tensor::zeros([1]),
-                logits: Tensor::zeros([1]),
-                active: None,
+                    .collect()
             })
             .collect();
+        let batch = DecodeBatch {
+            runs: Vec::with_capacity(cfg.slots),
+            x: Tensor::zeros([1]),
+            y: Tensor::zeros([1]),
+            ws: BlockDecodeScratch::with_workers(cfg.compute_workers),
+            head_ws: HeadDecodeScratch::new(),
+            logits: Tensor::zeros([1]),
+        };
 
         tel.gauge("serve.kv_bytes").set(kv_bytes as i64);
         ServeEngine {
@@ -275,13 +303,14 @@ impl ServeEngine {
             prefetch_stage: Vec::new(),
             prefetch_pack: PackedHalf::new(cfg.precision),
             device,
-            slots,
+            kv,
+            slots: (0..cfg.slots).map(|_| None).collect(),
+            batch,
             queue: VecDeque::new(),
             window,
             block_bytes,
             kv_bytes,
             max_seq,
-            compute_workers: cfg.compute_workers.max(1),
             precision: cfg.precision,
             temperature: cfg.temperature,
             clock: Instant::now(),
@@ -295,6 +324,7 @@ impl ServeEngine {
             g_active: tel.gauge("serve.active_slots"),
             g_queue: tel.gauge("serve.queue_depth"),
             h_round: tel.histogram("serve.round_ns"),
+            h_batch_rows: tel.histogram("serve.batch_rows"),
             h_ttft: tel.histogram("serve.ttft_ns"),
             h_latency: tel.histogram("serve.request_latency_ns"),
             tel,
@@ -361,7 +391,7 @@ impl ServeEngine {
 
     /// Sequences currently holding a slot.
     pub fn active_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.active.is_some()).count()
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Requests waiting for a slot.
@@ -409,18 +439,18 @@ impl ServeEngine {
     /// its prefill rides the same layer stream as everyone else's decode.
     fn admit(&mut self) {
         let now = self.now_ns();
-        for slot in self.slots.iter_mut() {
-            if slot.active.is_some() {
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
             let Some(req) = self.queue.pop_front() else {
                 break;
             };
-            for kv in slot.kv.iter_mut() {
-                kv.clear();
+            for layer in self.kv.iter_mut() {
+                layer[s].clear();
             }
             let prompt_len = req.prompt.len();
-            slot.active = Some(ActiveReq {
+            *slot = Some(ActiveReq {
                 id: req.id,
                 rng: seeded_rng(req.seed),
                 max_new_tokens: req.max_new_tokens,
@@ -428,7 +458,7 @@ impl ServeEngine {
                 generated: Vec::with_capacity(req.max_new_tokens),
                 pos: 0,
                 pending: req.prompt,
-                submit_ns: now,
+                admitted_ns: now,
                 ttft_ns: None,
                 rounds: 0,
             });
@@ -444,42 +474,58 @@ impl ServeEngine {
 
     /// Runs one engine round; returns the requests that finished in it.
     ///
-    /// A round is: admission → embed every active slot's pending tokens →
-    /// one streamed pass over all layers (prefetcher thread staging H2D
-    /// ahead of compute, `m+1` shells circulating through the device
-    /// budget) → last-token logits → one sampled token per active slot.
+    /// A round is: admission → embed every active slot's pending tokens
+    /// into one stacked `[ΣR, H]` activation → one streamed pass over all
+    /// layers, each a single stacked [`Block::forward_decode_batch`]
+    /// (prefetcher thread staging H2D ahead of compute, `m+1` shells
+    /// circulating through the device budget) → one batched last-row LM
+    /// head → one sampled token per active slot.
     pub fn step(&mut self) -> Vec<GenResult> {
         self.admit();
         let t_round = Instant::now();
-        let nb = self.store.len();
         let mut finished = Vec::new();
         if self.active_slots() == 0 {
             return finished;
         }
         self.c_rounds.incr();
 
-        // Embed each active slot's pending run at its absolute position.
+        // Stack every active slot's pending run, in slot order, each
+        // embedded at its own absolute position.
+        let h = self.model.cfg.hidden;
+        let batch = &mut self.batch;
+        batch.runs.clear();
+        batch.runs.extend(
+            self.slots
+                .iter()
+                .map(|s| s.as_ref().map_or(0, |req| req.pending.len())),
+        );
+        let rows: usize = batch.runs.iter().sum();
+        batch.x.reset_for([rows, h]);
         let mut prefill_tokens = 0u64;
         let mut decode_tokens = 0u64;
-        for slot in self.slots.iter_mut() {
-            let Some(req) = slot.active.as_mut() else {
-                continue;
-            };
-            self.model.embed_at_into(&req.pending, req.pos, &mut slot.x);
+        let mut row = 0;
+        for req in self.slots.iter_mut().flatten() {
+            let r = req.pending.len();
+            self.model.embedding.forward_at_rows(
+                &req.pending,
+                req.pos,
+                &mut batch.x.data_mut()[row * h..(row + r) * h],
+            );
+            row += r;
             req.rounds += 1;
             if req.pos == 0 {
-                prefill_tokens += req.pending.len() as u64;
+                prefill_tokens += r as u64;
             } else {
-                decode_tokens += req.pending.len() as u64;
+                decode_tokens += r as u64;
             }
         }
         self.c_prefill_tokens.add(prefill_tokens);
         self.c_decode_tokens.add(decode_tokens);
+        self.h_batch_rows.record(rows as u64);
 
-        // ---- one layer-streamed pass over every active sequence ----
+        // ---- one layer-streamed pass over the stacked batch ----
         let m = self.window;
         let bb = self.block_bytes;
-        let cw = self.compute_workers;
         let precision = self.precision;
         let device = Arc::clone(&self.device);
         let tel = self.tel.clone();
@@ -487,7 +533,7 @@ impl ServeEngine {
         let stage = &mut self.prefetch_stage;
         let pack = &mut self.prefetch_pack;
         let shells = &mut self.shells;
-        let slots = &mut self.slots;
+        let kv = &mut self.kv;
         let (fp_tx, fp_rx) = bounded::<(usize, Block)>(m);
         let (free_tx, free_rx) = bounded::<Block>(m + 1);
         for sh in shells.drain(..) {
@@ -506,7 +552,7 @@ impl ServeEngine {
                     let Ok(mut shell) = free_rx_pf.recv() else {
                         return;
                     };
-                    let span = tel_pf.span("h2d-copy", format!("h2d L{i}"));
+                    let span = tel_pf.span("h2d-copy", span_label(&tel_pf, || format!("h2d L{i}")));
                     device_pf.begin_h2d();
                     stage.clear();
                     stage.extend_from_slice(flat);
@@ -526,38 +572,19 @@ impl ServeEngine {
                 }
             });
 
-            // Compute: walk every active slot through each layer as it
-            // lands, then release the shell back to the window. Slots are
-            // independent (own KV, own workspace), so fanning them across
-            // threads cannot change any slot's bits.
-            let mut active: Vec<&mut Slot> =
-                slots.iter_mut().filter(|s| s.active.is_some()).collect();
+            // Compute: run the whole stack through each layer as it lands
+            // (one GEMM per linear; attention per slot against that slot's
+            // cache of this layer), then release the shell to the window.
             while let Ok((i, block)) = fp_rx.recv() {
-                let span = tel.span("serve-compute", format!("L{i}"));
-                if cw > 1 && active.len() > 1 {
-                    let per = active.len().div_ceil(cw);
-                    std::thread::scope(|cs| {
-                        for chunk in active.chunks_mut(per) {
-                            let block = &block;
-                            cs.spawn(move || {
-                                for slot in chunk.iter_mut() {
-                                    block.forward_decode(
-                                        &slot.x,
-                                        &mut slot.kv[i],
-                                        &mut slot.ws,
-                                        &mut slot.y,
-                                    );
-                                    std::mem::swap(&mut slot.x, &mut slot.y);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for slot in active.iter_mut() {
-                        block.forward_decode(&slot.x, &mut slot.kv[i], &mut slot.ws, &mut slot.y);
-                        std::mem::swap(&mut slot.x, &mut slot.y);
-                    }
-                }
+                let span = tel.span("serve-compute", span_label(&tel, || format!("L{i}")));
+                block.forward_decode_batch(
+                    &batch.x,
+                    &batch.runs,
+                    &mut kv[i],
+                    &mut batch.ws,
+                    &mut batch.y,
+                );
+                std::mem::swap(&mut batch.x, &mut batch.y);
                 span.end();
                 device.free(bb);
                 free_tx.send(block).expect("return shell");
@@ -568,30 +595,40 @@ impl ServeEngine {
             self.shells.push(sh);
         }
         debug_assert_eq!(self.shells.len(), m + 1, "window shells must all return");
-        let _ = nb;
 
-        // ---- head + sampling + completion ----
+        // ---- batched head + per-slot sampling + completion ----
+        let batch = &mut self.batch;
+        self.model.lm_logits_last_batch_into(
+            &batch.x,
+            &batch.runs,
+            &mut batch.head_ws,
+            &mut batch.logits,
+        );
         let now = self.now_ns();
+        let mut logits = self
+            .batch
+            .logits
+            .data()
+            .chunks_exact(self.model.embedding.vocab());
         let temperature = self.temperature;
         for slot in self.slots.iter_mut() {
-            let Some(req) = slot.active.as_mut() else {
+            let Some(req) = slot.as_mut() else {
                 continue;
             };
-            self.model
-                .lm_logits_last_into(&slot.x, &mut slot.head_ws, &mut slot.logits);
-            let tok = sample(slot.logits.data(), temperature, &mut req.rng);
+            let row = logits.next().expect("one logits row per active slot");
+            let tok = sample(row, temperature, &mut req.rng);
             req.pos += req.pending.len();
             req.generated.push(tok);
             self.c_tokens.incr();
             if req.ttft_ns.is_none() {
-                req.ttft_ns = Some(now.saturating_sub(req.submit_ns));
-                self.h_ttft.record(now.saturating_sub(req.submit_ns));
+                req.ttft_ns = Some(now.saturating_sub(req.admitted_ns));
+                self.h_ttft.record(now.saturating_sub(req.admitted_ns));
             }
             let done = req.generated.len() >= req.max_new_tokens || req.pos >= self.max_seq;
             if done {
-                let req = slot.active.take().expect("active request");
+                let req = slot.take().expect("active request");
                 self.c_completed.incr();
-                let latency = now.saturating_sub(req.submit_ns);
+                let latency = now.saturating_sub(req.admitted_ns);
                 self.h_latency.record(latency);
                 finished.push(GenResult {
                     id: req.id,
@@ -609,6 +646,16 @@ impl ServeEngine {
         self.g_active.set(self.active_slots() as i64);
         self.h_round.record(t_round.elapsed().as_nanos() as u64);
         finished
+    }
+}
+
+/// A span label, formatted only when telemetry is recording: disabled
+/// telemetry gets an empty `String`, which does not allocate.
+fn span_label(tel: &Telemetry, label: impl FnOnce() -> String) -> String {
+    if tel.is_enabled() {
+        label()
+    } else {
+        String::new()
     }
 }
 
@@ -673,6 +720,22 @@ mod tests {
         }
         assert_eq!(eng.active_slots(), 0);
         assert_eq!(eng.queue_depth(), 0);
+    }
+
+    #[test]
+    fn batch_rows_histogram_counts_stacked_rows() {
+        let tel = Telemetry::enabled();
+        let mut eng = ServeEngine::from_model(
+            Transformer::new(tiny(2), 9),
+            ServeConfig::default(),
+            tel.clone(),
+        );
+        eng.generate(reqs(2, 3, 4));
+        // Round 1 stacks both 3-token prompts; rounds 2–4 stack one decode
+        // token per slot.
+        let h = tel.histogram("serve.batch_rows");
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 6 + 3 * 2);
     }
 
     #[test]

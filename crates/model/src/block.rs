@@ -59,9 +59,10 @@ impl BlockCache {
     }
 }
 
-/// Reusable per-sequence workspace for [`Block::forward_decode`]: every
+/// Reusable workspace for [`Block::forward_decode_batch`]: every
 /// intermediate activation of the serving path, sized on first use and
-/// recycled across decode steps so the steady state never allocates.
+/// recycled across decode rounds so the steady state never allocates.
+/// One workspace serves a whole ragged batch (it is not per sequence).
 #[derive(Clone)]
 pub struct BlockDecodeScratch {
     ln1_out: Tensor,
@@ -73,12 +74,18 @@ pub struct BlockDecodeScratch {
 }
 
 impl BlockDecodeScratch {
-    /// An empty workspace; buffers grow on first use.
+    /// An empty single-worker workspace; buffers grow on first use.
     pub fn new() -> Self {
+        Self::with_workers(1)
+    }
+
+    /// An empty workspace whose ragged attention section fans a batch's
+    /// runs across `workers` threads (see [`DecodeScratch::with_workers`]).
+    pub fn with_workers(workers: usize) -> Self {
         BlockDecodeScratch {
             ln1_out: Tensor::zeros([1]),
             ln_cache: LayerNormCache::default(),
-            attn: DecodeScratch::new(),
+            attn: DecodeScratch::with_workers(workers),
             attn_out: Tensor::zeros([1]),
             fc1_out: Tensor::zeros([1]),
             gelu_out: Tensor::zeros([1]),
@@ -178,15 +185,37 @@ impl Block {
 
     /// Incremental forward for serving: runs `R` new tokens `x: [R, H]` of
     /// one sequence through the block, reading and extending the sequence's
-    /// per-layer [`KvCache`]. All products go through the batch-stable GEMM
-    /// entries and the attention softmax covers exactly the causal prefix,
-    /// so one token's output bits are independent of how many tokens ride
-    /// the call — prefill and token-at-a-time decode agree bit-for-bit.
-    /// Writes the block output into `y` (reused across calls).
+    /// per-layer [`KvCache`]. The one-run case of
+    /// [`Block::forward_decode_batch`]; writes the block output into `y`.
     pub fn forward_decode(
         &self,
         x: &Tensor,
         cache: &mut KvCache,
+        ws: &mut BlockDecodeScratch,
+        y: &mut Tensor,
+    ) {
+        let r = x.shape().dim(0);
+        self.forward_decode_batch(x, &[r], std::slice::from_mut(cache), ws, y);
+    }
+
+    /// Incremental forward over a ragged stack of sequences: `x: [ΣR, H]`
+    /// holds `runs[s]` consecutive new tokens of sequence `s` (prefill
+    /// runs, single decode tokens, or `0` to sit out), each reading and
+    /// extending its own `caches[s]`. LN1 → QKV → proj → LN2 → fc1 → GELU
+    /// → fc2 run once over the whole stack; only attention is per run.
+    ///
+    /// Every product goes through the batch-stable GEMM entries, LN and
+    /// GELU are row-/element-wise, and each softmax covers exactly its own
+    /// sequence's causal prefix, so one token's output bits are
+    /// independent of how many tokens — of its own sequence or of others —
+    /// ride the call: prefill, token-at-a-time decode and any stacking
+    /// agree bit-for-bit. Writes the block output into `y` (reused across
+    /// calls).
+    pub fn forward_decode_batch(
+        &self,
+        x: &Tensor,
+        runs: &[usize],
+        caches: &mut [KvCache],
         ws: &mut BlockDecodeScratch,
         y: &mut Tensor,
     ) {
@@ -199,7 +228,7 @@ impl Block {
             &mut ws.ln_cache,
         );
         self.attn
-            .forward_decode(&ws.ln1_out, cache, &mut ws.attn, &mut ws.attn_out);
+            .forward_decode_batch(&ws.ln1_out, runs, caches, &mut ws.attn, &mut ws.attn_out);
         // after_attn = x + attn_out, reusing the attention output buffer.
         add_assign(&mut ws.attn_out, x);
         layernorm_into(

@@ -67,10 +67,10 @@ impl HeadCache {
     }
 }
 
-/// Reusable workspace for [`Transformer::lm_logits_last_into`].
+/// Reusable workspace for [`Transformer::lm_logits_last_batch_into`].
 #[derive(Clone)]
 pub struct HeadDecodeScratch {
-    last_row: Tensor,
+    last_rows: Tensor,
     lnf_out: Tensor,
     ln_cache: LayerNormCache,
 }
@@ -79,7 +79,7 @@ impl HeadDecodeScratch {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         HeadDecodeScratch {
-            last_row: Tensor::zeros([1]),
+            last_rows: Tensor::zeros([1]),
             lnf_out: Tensor::zeros([1]),
             ln_cache: LayerNormCache::default(),
         }
@@ -221,18 +221,43 @@ impl Transformer {
     }
 
     /// Final layernorm + tied LM head for the *last* row of `x` only:
-    /// writes `[1, vocab]` logits into `logits`. Layernorm is per-row and
-    /// the head product is batch-stable, so the result is bit-identical
-    /// whether the row arrived via prefill or single-token decode.
+    /// writes `[1, vocab]` logits into `logits`. The one-run case of
+    /// [`Transformer::lm_logits_last_batch_into`].
     pub fn lm_logits_last_into(&self, x: &Tensor, ws: &mut HeadDecodeScratch, logits: &mut Tensor) {
-        let (t, h) = x.shape().as_2d();
+        let t = x.shape().dim(0);
         assert!(t > 0, "lm_logits_last_into: empty input");
-        ws.last_row.reset_for([1, h]);
-        ws.last_row
-            .data_mut()
-            .copy_from_slice(&x.data()[(t - 1) * h..t * h]);
+        self.lm_logits_last_batch_into(x, &[t], ws, logits);
+    }
+
+    /// Final layernorm + tied LM head for the last row of every non-empty
+    /// run of a ragged stack `x: [ΣR, H]` (the layout of
+    /// [`Block::forward_decode_batch`]): gathers those rows into `[B, H]`,
+    /// then runs one layernorm and one `[B, vocab]` product, writing row
+    /// `b` of `logits` for the `b`-th non-empty run. Layernorm is per-row
+    /// and the head product is batch-stable, so each row is bit-identical
+    /// to that sequence's own [`Transformer::lm_logits_last_into`] —
+    /// whether its last row arrived via prefill or single-token decode.
+    pub fn lm_logits_last_batch_into(
+        &self,
+        x: &Tensor,
+        runs: &[usize],
+        ws: &mut HeadDecodeScratch,
+        logits: &mut Tensor,
+    ) {
+        let (t, h) = x.shape().as_2d();
+        assert_eq!(runs.iter().sum::<usize>(), t, "runs must cover x");
+        let b = runs.iter().filter(|&&r| r > 0).count();
+        ws.last_rows.reset_for([b, h]);
+        let mut end = 0;
+        let mut dst = ws.last_rows.data_mut().chunks_exact_mut(h);
+        for &r in runs.iter().filter(|&&r| r > 0) {
+            end += r;
+            dst.next()
+                .expect("one row per non-empty run")
+                .copy_from_slice(&x.data()[(end - 1) * h..end * h]);
+        }
         layernorm_into(
-            &ws.last_row,
+            &ws.last_rows,
             &self.lnf_g,
             &self.lnf_b,
             LN_EPS,
@@ -240,12 +265,12 @@ impl Transformer {
             &mut ws.ln_cache,
         );
         let v = self.embedding.vocab();
-        logits.reset_for([1, v]);
+        logits.reset_for([b, v]);
         matmul_nt_stable(
             ws.lnf_out.data(),
             self.embedding.token.data(),
             logits.data_mut(),
-            1,
+            b,
             h,
             v,
         );

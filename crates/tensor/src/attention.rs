@@ -282,6 +282,16 @@ impl KvCache {
         (2 * self.heads * self.max_seq * self.dh * std::mem::size_of::<f32>()) as u64
     }
 
+    /// Every cached key of one head, `[len, dh]` row-major.
+    pub fn keys(&self, head: usize) -> &[f32] {
+        self.head_k(head, self.len)
+    }
+
+    /// Every cached value of one head, `[len, dh]` row-major.
+    pub fn values(&self, head: usize) -> &[f32] {
+        self.head_v(head, self.len)
+    }
+
     /// The cached `[len, dh]` K prefix of one head.
     fn head_k(&self, head: usize, len: usize) -> &[f32] {
         let base = head * self.max_seq * self.dh;
@@ -309,22 +319,40 @@ impl KvCache {
     }
 }
 
-/// Reusable workspace for [`Attention::forward_decode`]; holds the fused
-/// QKV activation, one score row, and the per-token context so repeated
-/// decode steps are allocation-free after warm-up.
+/// Reusable workspace for [`Attention::forward_decode_batch`]; holds the
+/// fused QKV activation, the context rows, and one set of per-head query,
+/// score and context buffers per attention worker, so repeated decode
+/// rounds are allocation-free after warm-up.
 #[derive(Clone)]
 pub struct DecodeScratch {
     qkv_out: Tensor,
-    scores: Vec<f32>,
+    attend: Vec<AttendScratch>,
     ctx: Tensor,
 }
 
+/// One attention worker's buffers for a run's per-head products: the
+/// gathered `[R, dh]` queries, the `[R, len]` scores and the `[R, dh]`
+/// context, each grown on first use.
+#[derive(Clone, Default)]
+struct AttendScratch {
+    q: Vec<f32>,
+    scores: Vec<f32>,
+    ctx: Vec<f32>,
+}
+
 impl DecodeScratch {
-    /// An empty workspace; buffers grow on first use and are reused after.
+    /// An empty single-worker workspace; buffers grow on first use and are
+    /// reused after.
     pub fn new() -> Self {
+        Self::with_workers(1)
+    }
+
+    /// An empty workspace whose ragged attention section fans the runs of
+    /// one batch across `workers` threads (clamped to ≥ 1).
+    pub fn with_workers(workers: usize) -> Self {
         DecodeScratch {
             qkv_out: Tensor::zeros([1]),
-            scores: Vec::new(),
+            attend: vec![AttendScratch::default(); workers.max(1)],
             ctx: Tensor::zeros([1]),
         }
     }
@@ -340,14 +368,8 @@ impl Attention {
     /// Incremental causal forward for serving: runs `R` new tokens
     /// `x: [R, H]` of one sequence whose first `cache.len()` tokens are
     /// already cached, appends their K/V rows, and writes the attention
-    /// output into `y: [R, H]`.
-    ///
-    /// Bit-compatibility contract: every product uses the batch-stable
-    /// GEMM entries and every softmax runs over exactly the causal prefix
-    /// `0..=pos`, so the bits of one token's output depend only on the
-    /// tokens before it — a full-prompt prefill (`R = T`) and a
-    /// token-at-a-time replay (`R = 1` repeatedly) produce identical
-    /// streams, and co-batching other sequences cannot perturb either.
+    /// output into `y: [R, H]`. The one-run case of
+    /// [`Attention::forward_decode_batch`].
     pub fn forward_decode(
         &self,
         x: &Tensor,
@@ -356,42 +378,144 @@ impl Attention {
         y: &mut Tensor,
     ) {
         let r = x.shape().dim(0);
-        let h = x.shape().dim(1);
+        self.forward_decode_batch(x, &[r], std::slice::from_mut(cache), ws, y);
+    }
+
+    /// Incremental causal forward over a ragged stack of sequences:
+    /// `x: [ΣR, H]` holds `runs[s]` consecutive new tokens of sequence `s`
+    /// (a prefill run, a single decode token, or `0` for a sequence that
+    /// sits this call out), and `caches[s]` is that sequence's [`KvCache`].
+    /// The QKV and output projections are one GEMM each over the whole
+    /// stack; only the attention proper is per run — each run's rows push
+    /// to, and attend over, their own cache. Writes `y: [ΣR, H]`.
+    ///
+    /// Bit-compatibility contract: every product uses the batch-stable
+    /// GEMM entries and every softmax runs over exactly the causal prefix
+    /// `0..=pos`, so the bits of one token's output depend only on the
+    /// tokens before it in its own sequence — a full-prompt prefill
+    /// (`R = T`) and a token-at-a-time replay (`R = 1` repeatedly) produce
+    /// identical streams, and stacking other sequences beside it cannot
+    /// perturb either.
+    ///
+    /// # Panics
+    /// Panics unless `runs.len() == caches.len()` and the runs sum to the
+    /// rows of `x`.
+    pub fn forward_decode_batch(
+        &self,
+        x: &Tensor,
+        runs: &[usize],
+        caches: &mut [KvCache],
+        ws: &mut DecodeScratch,
+        y: &mut Tensor,
+    ) {
+        let (rows, h) = x.shape().as_2d();
+        assert_eq!(runs.len(), caches.len(), "one KvCache per run");
+        assert_eq!(runs.iter().sum::<usize>(), rows, "runs must cover x");
         let dh = h / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
-        assert_eq!(cache.dh, dh, "KvCache head width mismatch");
+        for cache in caches.iter() {
+            assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
+            assert_eq!(cache.dh, dh, "KvCache head width mismatch");
+        }
 
-        self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [R, 3H]
-        ws.scores.resize(cache.max_seq, 0.0);
-        ws.ctx.reset_for([r, h]);
-
-        for row in 0..r {
-            let qkv_row = &ws.qkv_out.data()[row * 3 * h..(row + 1) * 3 * h];
-            // Append this token's K/V first: causal attention includes self.
-            cache.push_token(qkv_row, h);
-            let pos = cache.len; // tokens visible to this query
-            for head in 0..self.heads {
-                let q_row = &qkv_row[head * dh..(head + 1) * dh];
-                let scores = &mut ws.scores[..pos];
-                matmul_nt_stable(q_row, cache.head_k(head, pos), scores, 1, dh, pos);
-                for s in scores.iter_mut() {
-                    *s *= scale;
+        self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [ΣR, 3H]
+        ws.ctx.reset_for([rows, h]);
+        let qkv = ws.qkv_out.data();
+        let ctx = ws.ctx.data_mut();
+        let busy = runs.iter().filter(|&&r| r > 0).count();
+        let workers = ws.attend.len().min(busy);
+        if workers <= 1 {
+            self.attend_runs(qkv, runs, caches, ctx, &mut ws.attend[0], h);
+        } else {
+            // Contiguous groups of `per` non-empty runs go to spawned
+            // workers; the driver thread attends the remainder itself.
+            let per = busy.div_ceil(workers);
+            std::thread::scope(|scope| {
+                let (mut runs, mut caches, mut qkv, mut ctx) = (runs, caches, qkv, ctx);
+                let mut scratch = ws.attend.iter_mut();
+                let mut left = busy;
+                while left > per {
+                    let n = runs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &r)| r > 0)
+                        .nth(per - 1)
+                        .map_or(runs.len(), |(i, _)| i + 1);
+                    let rows_n: usize = runs[..n].iter().sum();
+                    let (g_runs, r_runs) = runs.split_at(n);
+                    let (g_caches, r_caches) = std::mem::take(&mut caches).split_at_mut(n);
+                    let (g_qkv, r_qkv) = qkv.split_at(rows_n * 3 * h);
+                    let (g_ctx, r_ctx) = std::mem::take(&mut ctx).split_at_mut(rows_n * h);
+                    (runs, caches, qkv, ctx) = (r_runs, r_caches, r_qkv, r_ctx);
+                    let sc = scratch.next().expect("one scratch per worker");
+                    scope.spawn(move || self.attend_runs(g_qkv, g_runs, g_caches, g_ctx, sc, h));
+                    left -= per;
                 }
-                softmax_row_inplace(scores);
-                let ctx_row =
-                    &mut ws.ctx.data_mut()[row * h + head * dh..row * h + (head + 1) * dh];
-                matmul_nn_stable(
-                    &ws.scores[..pos],
-                    cache.head_v(head, pos),
-                    ctx_row,
-                    1,
-                    pos,
-                    dh,
-                );
-            }
+                let sc = scratch.next().expect("one scratch per worker");
+                self.attend_runs(qkv, runs, caches, ctx, sc, h);
+            });
         }
         self.proj.forward_stable_into(&ws.ctx, y);
+    }
+
+    /// The ragged attention section for consecutive runs: `qkv` and `ctx`
+    /// hold exactly those runs' rows (`[ΣR, 3H]` in, `[ΣR, H]` out, hidden
+    /// width `h`).
+    ///
+    /// A run first appends all its K/V rows, then each head takes two
+    /// products over the run: scores `Q·Kᵀ` as `[R, len]` and context
+    /// `P·V` as `[R, dh]`. Row `i` softmaxes exactly its causal prefix
+    /// `0..pos_i` and zeroes the rest, so the context product adds only
+    /// exact zeros past `pos_i`: with the stable engine's fixed reduction
+    /// order (and an accumulator that starts at `+0.0`), its bits equal a
+    /// `[1, pos_i]` product's — a run of `R` tokens matches `R`
+    /// single-token calls bit-for-bit (given finite `V`, as the training
+    /// forward's masked `P·V` also assumes).
+    fn attend_runs(
+        &self,
+        qkv: &[f32],
+        runs: &[usize],
+        caches: &mut [KvCache],
+        ctx: &mut [f32],
+        ws: &mut AttendScratch,
+        h: usize,
+    ) {
+        let dh = h / self.heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut row0 = 0;
+        for (&r, cache) in runs.iter().zip(caches.iter_mut()) {
+            if r == 0 {
+                continue;
+            }
+            let qkv = &qkv[row0 * 3 * h..(row0 + r) * 3 * h];
+            let ctx = &mut ctx[row0 * h..(row0 + r) * h];
+            row0 += r;
+            let base = cache.len;
+            for qkv_row in qkv.chunks_exact(3 * h) {
+                cache.push_token(qkv_row, h);
+            }
+            let len = cache.len; // tokens visible to the run's last query
+            ws.q.resize(r * dh, 0.0);
+            ws.scores.resize(r * len, 0.0);
+            ws.ctx.resize(r * dh, 0.0);
+            for head in 0..self.heads {
+                for (q, src) in ws.q.chunks_exact_mut(dh).zip(qkv.chunks_exact(3 * h)) {
+                    q.copy_from_slice(&src[head * dh..(head + 1) * dh]);
+                }
+                matmul_nt_stable(&ws.q, cache.head_k(head, len), &mut ws.scores, r, dh, len);
+                for (i, srow) in ws.scores.chunks_exact_mut(len).enumerate() {
+                    let (visible, future) = srow.split_at_mut(base + i + 1);
+                    for v in visible.iter_mut() {
+                        *v *= scale;
+                    }
+                    softmax_row_inplace(visible);
+                    future.fill(0.0);
+                }
+                matmul_nn_stable(&ws.scores, cache.head_v(head, len), &mut ws.ctx, r, len, dh);
+                for (dst, src) in ctx.chunks_exact_mut(h).zip(ws.ctx.chunks_exact(dh)) {
+                    dst[head * dh..(head + 1) * dh].copy_from_slice(src);
+                }
+            }
+        }
     }
 }
 
@@ -565,6 +689,49 @@ mod tests {
             }
         }
         assert_eq!(cache_a.len(), cache_b.len());
+    }
+
+    #[test]
+    fn prefill_run_crossing_kc_blocks_equals_token_at_a_time_bitwise() {
+        // A run's context product reduces over the run's longest prefix and
+        // adds exact zeros past each row's own; the stable engine splits
+        // that reduction into KC = 256 blocks, so the run here straddles a
+        // block boundary on both sides of the zero padding.
+        let mut rng = seeded_rng(48);
+        let attn = Attention::new(8, 2, &mut rng);
+        let t = 300;
+        let x = normal([t, 8], 1.0, &mut rng);
+        let mut head = Tensor::zeros([1]);
+        let mut tail = Tensor::zeros([1]);
+        let split = 250;
+        head.reset_for([split, 8]);
+        head.data_mut().copy_from_slice(&x.data()[..split * 8]);
+        tail.reset_for([t - split, 8]);
+        tail.data_mut().copy_from_slice(&x.data()[split * 8..]);
+
+        let mut cache_a = KvCache::new(2, 4, t);
+        let mut ws = DecodeScratch::new();
+        let mut y_head = Tensor::zeros([1]);
+        let mut y_a = Tensor::zeros([1]);
+        attn.forward_decode(&head, &mut cache_a, &mut ws, &mut y_head);
+        attn.forward_decode(&tail, &mut cache_a, &mut ws, &mut y_a);
+
+        let mut cache_b = KvCache::new(2, 4, t);
+        let mut y_b = Tensor::zeros([1]);
+        let mut row = Tensor::zeros([1, 8]);
+        for i in 0..t {
+            row.data_mut()
+                .copy_from_slice(&x.data()[i * 8..(i + 1) * 8]);
+            attn.forward_decode(&row, &mut cache_b, &mut ws, &mut y_b);
+            let want = if i < split {
+                &y_head.data()[i * 8..(i + 1) * 8]
+            } else {
+                &y_a.data()[(i - split) * 8..(i - split + 1) * 8]
+            };
+            for (a, b) in want.iter().zip(y_b.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "token {i} diverges");
+            }
+        }
     }
 
     #[test]

@@ -88,14 +88,25 @@ impl Embedding {
     /// Panics if any token id is out of vocabulary or `pos0 + T` exceeds
     /// the positional table.
     pub fn forward_at_into(&self, tokens: &[u32], pos0: usize, out: &mut Tensor) {
+        out.reset_for([tokens.len(), self.hidden()]);
+        self.forward_at_rows(tokens, pos0, out.data_mut());
+    }
+
+    /// [`Embedding::forward_at_into`] writing the `[T, H]` rows into a
+    /// row-major slice of exactly `T · H` floats — one run's rows inside a
+    /// larger stacked activation.
+    ///
+    /// # Panics
+    /// As [`Embedding::forward_at_into`], and if `out` is not `T · H` long.
+    pub fn forward_at_rows(&self, tokens: &[u32], pos0: usize, out: &mut [f32]) {
         let h = self.hidden();
         let t = tokens.len();
         assert!(
             pos0 + t <= self.position.shape().dim(0),
             "sequence longer than positional table"
         );
-        out.reset_for([t, h]);
-        for (i, &tok) in tokens.iter().enumerate() {
+        assert_eq!(out.len(), t * h, "forward_at_rows: output size");
+        for ((&tok, row), p) in tokens.iter().zip(out.chunks_exact_mut(h)).zip(pos0..) {
             let tok = tok as usize;
             assert!(
                 tok < self.vocab(),
@@ -103,8 +114,7 @@ impl Embedding {
                 self.vocab()
             );
             let te = &self.token.data()[tok * h..(tok + 1) * h];
-            let pe = &self.position.data()[(pos0 + i) * h..(pos0 + i + 1) * h];
-            let row = &mut out.data_mut()[i * h..(i + 1) * h];
+            let pe = &self.position.data()[p * h..(p + 1) * h];
             for ((r, a), b) in row.iter_mut().zip(te.iter()).zip(pe.iter()) {
                 *r = a + b;
             }

@@ -9,10 +9,14 @@
 //! must stay far below one-allocation-per-tensor territory.
 //!
 //! The counter tallies every thread, so the offloaded trainer's
-//! prefetcher and optimizer-pool threads are included.
+//! prefetcher and optimizer-pool threads are included. Because it is
+//! process-global, every test holds [`SERIAL`] from construction through
+//! its last measurement: libtest runs tests on parallel threads, and an
+//! unserialized neighbour's allocations would land in this test's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use stronghold_core::adam::AdamParams;
 use stronghold_core::host::{
@@ -50,6 +54,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the [`SERIAL`] lock for a test's whole warm-up and measure
+/// section. A panicking test poisons the lock; the next one still runs.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
@@ -71,6 +84,7 @@ const STEADY_STATE_CAP: u64 = 600;
 
 #[test]
 fn resident_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 41);
     let mut t = HostResidentTrainer::new(cfg, 7, adam());
@@ -100,6 +114,7 @@ fn resident_step_allocations_stop_growing() {
 
 #[test]
 fn offloaded_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 42);
     let mut t = HostOffloadTrainer::new(
@@ -149,6 +164,7 @@ fn offloaded_step_allocations_stop_growing() {
 /// spilled step allocates no more than the window before it.
 #[test]
 fn spilled_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 46);
     let mut t = HostOffloadTrainer::new(
@@ -202,6 +218,7 @@ fn spilled_step_allocations_stop_growing() {
 /// included.
 #[test]
 fn data_parallel_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4).with_batch(8);
     let batch = batch_for(&cfg, 44);
     let mut t = DataParallelTrainer::new(
@@ -250,6 +267,7 @@ fn data_parallel_step_allocations_stop_growing() {
 /// resize can fire — resizes themselves are exempt from the contract.
 #[test]
 fn autotuner_at_fixed_point_allocations_stop_growing() {
+    let _serial = serial();
     use stronghold_core::host::AutotuneConfig;
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 45);
@@ -314,6 +332,7 @@ fn autotuner_at_fixed_point_allocations_stop_growing() {
 /// than an earlier one.
 #[test]
 fn serving_decode_round_allocations_stop_growing() {
+    let _serial = serial();
     use stronghold_core::serve::{GenRequest, ServeConfig, ServeEngine};
     let mut eng = ServeEngine::new(
         tiny(4),
@@ -366,6 +385,7 @@ fn serving_decode_round_allocations_stop_growing() {
 /// arithmetic, and hook dispatch is a map lookup.
 #[test]
 fn engine_policy_path_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 43);
     let build = || {

@@ -15,7 +15,8 @@ use stronghold_model::block::BlockDecodeScratch;
 use stronghold_model::config::tiny;
 use stronghold_model::transformer::{HeadDecodeScratch, Transformer};
 use stronghold_tensor::attention::KvCache;
-use stronghold_tensor::{Precision, Tensor};
+use stronghold_tensor::init::{normal, seeded_rng};
+use stronghold_tensor::{PackedHalf, Precision, Tensor};
 
 /// A trained SHTS blob: the serving entry point every engine under test
 /// shares, so stream differences can only come from the engine itself.
@@ -249,5 +250,128 @@ fn continuous_and_static_agree_on_a_trained_model() {
             "req {}: static and continuous disagree",
             x.id
         );
+    }
+}
+
+/// The ragged mix of one batched serving round: a fresh prefill of 5, a
+/// decode with 4 tokens cached, an idle slot, a mid-sequence prefill of 3
+/// after 2 cached, and a decode with 6 cached — as `(run, history)`.
+const RAGGED: [(usize, usize); 5] = [(5, 0), (1, 4), (0, 3), (3, 2), (1, 6)];
+
+/// Rows `row0..row0 + n` of a `[T, H]` tensor as their own tensor.
+fn rows_of(x: &Tensor, row0: usize, n: usize) -> Tensor {
+    let h = x.shape().dim(1);
+    Tensor::from_vec([n, h], x.data()[row0 * h..(row0 + n) * h].to_vec())
+}
+
+/// One stacked `Block::forward_decode_batch` over a ragged mix of prefill
+/// runs, decode tokens and an idle slot must reproduce per-slot
+/// `forward_decode` bit-for-bit: output rows and every cached K/V entry,
+/// on the f32 and the bf16-rounded device grid, with the attention runs on
+/// one thread or fanned across two.
+#[test]
+fn ragged_batched_decode_matches_per_slot_decode_bitwise() {
+    let cfg = tiny(2);
+    let model = Transformer::new(cfg, 31);
+    let dh = cfg.hidden / cfg.heads;
+    let mut rng = seeded_rng(32);
+    let rows: usize = RAGGED.iter().map(|&(r, _)| r).sum();
+    let x = normal([rows, cfg.hidden], 1.0, &mut rng);
+    let runs: Vec<usize> = RAGGED.iter().map(|&(r, _)| r).collect();
+    // Every slot's cache starts from its own seeded history.
+    let history: Vec<KvCache> = RAGGED
+        .iter()
+        .map(|&(_, past)| {
+            let mut c = KvCache::new(cfg.heads, dh, cfg.seq);
+            if past > 0 {
+                let xp = normal([past, cfg.hidden], 1.0, &mut rng);
+                let mut y = Tensor::zeros([1]);
+                model.blocks[1].forward_decode(&xp, &mut c, &mut BlockDecodeScratch::new(), &mut y);
+            }
+            c
+        })
+        .collect();
+
+    for precision in [Precision::F32, Precision::Bf16] {
+        // The shell exactly as the engine's prefetcher stages it.
+        let mut block = model.blocks[0].clone();
+        let mut flat = block.flatten_params();
+        if precision.is_half() {
+            PackedHalf::new(precision).round_through(&mut flat);
+        }
+        block.load_flat_params(&flat);
+
+        let mut want_caches = history.clone();
+        let mut want = Vec::new();
+        let mut ws = BlockDecodeScratch::new();
+        let mut y = Tensor::zeros([1]);
+        let mut row0 = 0;
+        for (cache, &r) in want_caches.iter_mut().zip(&runs) {
+            if r > 0 {
+                block.forward_decode(&rows_of(&x, row0, r), cache, &mut ws, &mut y);
+                want.extend(y.data().iter().map(|v| v.to_bits()));
+            }
+            row0 += r;
+        }
+
+        for workers in [1, 2] {
+            let mut caches = history.clone();
+            let mut y = Tensor::zeros([1]);
+            let mut ws = BlockDecodeScratch::with_workers(workers);
+            block.forward_decode_batch(&x, &runs, &mut caches, &mut ws, &mut y);
+            let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got, want,
+                "{precision:?} x{workers}: batched rows differ from per-slot decode"
+            );
+            for (s, (a, b)) in caches.iter().zip(&want_caches).enumerate() {
+                assert_eq!(a.len(), b.len(), "slot {s}: cache length");
+                for head in 0..cfg.heads {
+                    for (ka, kb) in [
+                        (a.keys(head), b.keys(head)),
+                        (a.values(head), b.values(head)),
+                    ] {
+                        let ka: Vec<u32> = ka.iter().map(|v| v.to_bits()).collect();
+                        let kb: Vec<u32> = kb.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            ka, kb,
+                            "{precision:?} x{workers}: slot {s} head {head} KV cache differs"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The batched LM head — each non-empty run's last row gathered into one
+/// layernorm and one `[B, vocab]` product — must equal the per-slot
+/// `lm_logits_last_into` bit-for-bit.
+#[test]
+fn batched_lm_head_matches_per_slot_head_bitwise() {
+    let cfg = tiny(2);
+    let model = Transformer::new(cfg, 33);
+    let runs: Vec<usize> = RAGGED.iter().map(|&(r, _)| r).collect();
+    let rows: usize = runs.iter().sum();
+    let x = normal([rows, cfg.hidden], 1.0, &mut seeded_rng(34));
+
+    let mut logits = Tensor::zeros([1]);
+    model.lm_logits_last_batch_into(&x, &runs, &mut HeadDecodeScratch::new(), &mut logits);
+    let busy = runs.iter().filter(|&&r| r > 0).count();
+    assert_eq!(logits.shape().dims(), &[busy, cfg.vocab]);
+
+    let mut ws = HeadDecodeScratch::new();
+    let mut one = Tensor::zeros([1]);
+    let mut got = logits.data().chunks_exact(cfg.vocab);
+    let mut row0 = 0;
+    for (s, &r) in runs.iter().enumerate() {
+        if r == 0 {
+            continue;
+        }
+        model.lm_logits_last_into(&rows_of(&x, row0, r), &mut ws, &mut one);
+        row0 += r;
+        let a: Vec<u32> = got.next().unwrap().iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u32> = one.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(a, b, "slot {s}: batched head logits differ");
     }
 }
