@@ -99,6 +99,8 @@ grep -q '"engine": "continuous"' "$SERVING_SMOKE_OUT"
 grep -q '"p50_latency_ns"' "$SERVING_SMOKE_OUT"
 grep -q '"p99_latency_ns"' "$SERVING_SMOKE_OUT"
 grep -q '"core_starved"' "$SERVING_SMOKE_OUT"
+grep -q '"concurrency": 8' "$SERVING_SMOKE_OUT"
+grep -q '"weight_bytes_per_token"' "$SERVING_SMOKE_OUT"
 SERVING_TOKENS=$(grep -o '"tokens": [0-9]*' "$SERVING_SMOKE_OUT" | head -1 | grep -o '[0-9]*')
 test "$SERVING_TOKENS" -gt 0
 grep -q '"p50_le_p99": true' "$SERVING_SMOKE_OUT"

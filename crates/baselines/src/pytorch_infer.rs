@@ -19,13 +19,14 @@ use rand_chacha::ChaCha8Rng;
 use stronghold_core::error::{Result, RuntimeError};
 use stronghold_core::method::IterationReport;
 use stronghold_core::serve::{sample, GenRequest, GenResult};
-use stronghold_model::block::BlockDecodeScratch;
+use stronghold_model::block::{BlockDecodeScratch, DecodeBlock};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::memory;
 use stronghold_model::transformer::{HeadDecodeScratch, Transformer};
 use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
+use stronghold_tensor::matmul::PackedB;
 use stronghold_tensor::Tensor;
 
 use crate::common::{gpu_capacity, layers_of};
@@ -122,11 +123,16 @@ struct StaticSlot {
 /// The framework-default serving loop: requests are grouped into fixed
 /// batches, every slot runs the forward pass every round (finished
 /// sequences burn padded compute), and admission only happens when the
-/// whole batch has drained. Because it calls the same batch-stable decode
-/// kernels as the streaming engine, greedy token streams are bit-identical
-/// to [`stronghold_core::serve::ServeEngine`] — only the schedule differs.
+/// whole batch has drained. It runs the same decode code as the streaming
+/// engine, over layers and a head packed once just as the engine holds
+/// them, so greedy token streams are bit-identical to
+/// [`stronghold_core::serve::ServeEngine`] and only the schedule differs.
 pub struct StaticBatchGenerator {
-    model: Transformer,
+    model: Transformer, // embedding + final LN; blocks live in `layers`
+    /// Resident serving images, one per layer.
+    layers: Vec<DecodeBlock>,
+    /// The tied LM head, packed once.
+    head: PackedB,
     slots: Vec<StaticSlot>,
     max_seq: usize,
     temperature: f32,
@@ -138,8 +144,9 @@ impl StaticBatchGenerator {
         Self::from_model(Transformer::new(mcfg, seed), cfg)
     }
 
-    /// Builds a generator over an existing model (kept fully resident).
-    pub fn from_model(model: Transformer, cfg: StaticBatchConfig) -> Self {
+    /// Builds a generator over an existing model (kept fully resident, its
+    /// blocks and head packed once).
+    pub fn from_model(mut model: Transformer, cfg: StaticBatchConfig) -> Self {
         let mcfg = model.cfg;
         assert!(cfg.slots > 0, "static batching: need at least one slot");
         let max_seq = if cfg.max_seq == 0 {
@@ -161,8 +168,16 @@ impl StaticBatchGenerator {
                 logits: Tensor::zeros([1]),
             })
             .collect();
+        let layers = model
+            .blocks
+            .drain(..)
+            .map(|b| DecodeBlock::pack(&b))
+            .collect();
+        let head = model.pack_head();
         StaticBatchGenerator {
             model,
+            layers,
+            head,
             slots,
             max_seq,
             temperature: cfg.temperature,
@@ -171,7 +186,7 @@ impl StaticBatchGenerator {
 
     /// Total FP32 parameter bytes held resident on the device.
     pub fn param_bytes(&self) -> u64 {
-        self.model.param_count() * 4
+        self.model.cfg.total_params() * 4
     }
 
     /// Runs a closed-system workload: all requests arrive up front, batches
@@ -221,20 +236,16 @@ impl StaticBatchGenerator {
                     let slot = &mut self.slots[b];
                     let pos = slot.kv[0].len();
                     self.model.embed_at_into(&pending[b], pos, &mut slot.x);
-                    for i in 0..slot.kv.len() {
-                        self.model.block_forward_decode(
-                            i,
-                            &slot.x,
-                            &mut slot.kv[i],
-                            &mut slot.ws,
-                            &mut slot.y,
-                        );
+                    for (layer, kv) in self.layers.iter().zip(slot.kv.iter_mut()) {
+                        layer.forward_decode(&slot.x, kv, &mut slot.ws, &mut slot.y);
                         std::mem::swap(&mut slot.x, &mut slot.y);
                     }
                     let res = &mut results[b];
                     if res.tokens.len() < req.max_new_tokens {
-                        self.model.lm_logits_last_into(
+                        self.model.lm_logits_packed_batch_into(
+                            &self.head,
                             &slot.x,
+                            &[pending[b].len()],
                             &mut slot.head_ws,
                             &mut slot.logits,
                         );

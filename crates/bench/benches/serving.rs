@@ -11,12 +11,16 @@
 //! measures pure scheduling, not math.
 //!
 //! Rows: engine × concurrency (slots) × compute workers, each with
-//! tokens/sec, p50/p99 request latency, and p50 time-to-first-token. The
-//! root records `cores` and `core_starved` (continuous batching's
-//! prefetch/compute overlap needs ≥ 2 cores; below that the H2D staging
-//! serializes with decode and the gap narrows), plus two machine-checked
-//! verdicts: `continuous_beats_static` (tokens/sec at equal concurrency,
-//! every level) and `p50_le_p99`.
+//! tokens/sec, p50/p99 request latency, p50 time-to-first-token, and
+//! `weight_bytes_per_token`: transformer-block weight bytes read per
+//! emitted token. The continuous engine reads every layer once per round
+//! for all its active slots (its H2D bytes), so the column falls roughly
+//! as 1/rows-per-round; the static baseline reads every layer once per
+//! slot per padded round. The root records `cores` and `core_starved`
+//! (continuous batching's prefetch/compute overlap needs ≥ 2 cores; below
+//! that the H2D staging serializes with decode and the gap narrows), plus
+//! two machine-checked verdicts: `continuous_beats_static` (tokens/sec at
+//! equal concurrency, every level) and `p50_le_p99`.
 //!
 //! Results go to `BENCH_serving.json` (override with `BENCH_SERVING_OUT`).
 //! `STRONGHOLD_SBENCH_QUICK=1` bounds the sweep for the `ci.sh` smoke.
@@ -75,19 +79,23 @@ fn timed_runs(reps: usize, mut run: impl FnMut() -> Vec<GenResult>) -> (u64, Vec
 struct RunStats {
     wall_ns: u64,
     tokens: u64,
+    weight_bytes_per_token: f64,
     p50_ns: u64,
     p99_ns: u64,
     ttft_p50_ns: u64,
 }
 
-fn stats(wall_ns: u64, results: &[GenResult]) -> RunStats {
+/// `weight_bytes` is the block-weight bytes one run reads in total.
+fn stats(wall_ns: u64, results: &[GenResult], weight_bytes: u64) -> RunStats {
     let mut lat: Vec<u64> = results.iter().map(|r| r.latency_ns).collect();
     let mut ttft: Vec<u64> = results.iter().map(|r| r.ttft_ns).collect();
     lat.sort_unstable();
     ttft.sort_unstable();
+    let tokens = results.iter().map(|r| r.tokens.len() as u64).sum();
     RunStats {
         wall_ns,
-        tokens: results.iter().map(|r| r.tokens.len() as u64).sum(),
+        tokens,
+        weight_bytes_per_token: weight_bytes as f64 / tokens as f64,
         p50_ns: percentile(&lat, 50),
         p99_ns: percentile(&lat, 99),
         ttft_p50_ns: percentile(&ttft, 50),
@@ -98,8 +106,8 @@ fn row(engine: &str, slots: usize, workers: usize, s: &RunStats) -> Value {
     let tps = s.tokens as f64 / (s.wall_ns as f64 / 1e9);
     println!(
         "{engine:>10} slots={slots} workers={workers} {tps:>9.1} tok/s  \
-         p50={:>10} ns  p99={:>10} ns  ttft_p50={:>10} ns",
-        s.p50_ns, s.p99_ns, s.ttft_p50_ns
+         p50={:>10} ns  p99={:>10} ns  ttft_p50={:>10} ns  weight B/tok={:>9.0}",
+        s.p50_ns, s.p99_ns, s.ttft_p50_ns, s.weight_bytes_per_token
     );
     let mut r = Map::new();
     r.insert("engine".into(), Value::from(engine));
@@ -111,6 +119,10 @@ fn row(engine: &str, slots: usize, workers: usize, s: &RunStats) -> Value {
     r.insert("p50_latency_ns".into(), Value::from(s.p50_ns));
     r.insert("p99_latency_ns".into(), Value::from(s.p99_ns));
     r.insert("ttft_p50_ns".into(), Value::from(s.ttft_p50_ns));
+    r.insert(
+        "weight_bytes_per_token".into(),
+        Value::from(s.weight_bytes_per_token),
+    );
     Value::Object(r)
 }
 
@@ -137,7 +149,7 @@ fn main() {
             4,
         )
     };
-    let slot_counts: &[usize] = &[2, 4];
+    let slot_counts: &[usize] = &[2, 4, 8];
     let worker_counts: &[usize] = &[1, 2];
     let reps = 3usize;
 
@@ -181,7 +193,13 @@ fn main() {
         // Warm the scratch so the timed runs measure steady state.
         stat.generate(workload(1, 2, 1, 2));
         let (wall, static_results) = timed_runs(reps, || stat.generate(reqs.clone()));
-        let static_stats = stats(wall, &static_results);
+        // Every slot of a batch runs every layer on every padded round.
+        let static_passes: u64 = reqs
+            .chunks(slots)
+            .map(|b| (b.len() * b.iter().map(|r| r.max_new_tokens).max().unwrap_or(0)) as u64)
+            .sum();
+        let static_bytes = static_passes * mcfg.layers as u64 * mcfg.block_params() * 4;
+        let static_stats = stats(wall, &static_results, static_bytes);
         assert_eq!(static_stats.tokens as usize, total_new);
         p50_le_p99 &= static_stats.p50_ns <= static_stats.p99_ns;
         rows.push(row("static", slots, 1, &static_stats));
@@ -198,8 +216,11 @@ fn main() {
                 Telemetry::disabled(),
             );
             eng.generate(workload(1, 2, 1, 2));
+            // Each round streams every layer once, for all active slots.
+            let h2d0 = eng.device().h2d_bytes();
             let (wall, cont_results) = timed_runs(reps, || eng.generate(reqs.clone()));
-            let cont_stats = stats(wall, &cont_results);
+            let cont_bytes = (eng.device().h2d_bytes() - h2d0) / reps as u64;
+            let cont_stats = stats(wall, &cont_results, cont_bytes);
             assert_eq!(cont_stats.tokens as usize, total_new);
             // Same weights, same greedy sampler: the streams must agree
             // before the throughput comparison means anything.

@@ -43,7 +43,7 @@ use crate::host::autotune::{AutotuneConfig, AutotuneController, StallSignals};
 use crate::host::engine::{Engine, EngineOptions, GradSink, ParamBackend};
 use crate::host::offloaded::{HostOffloadConfig, WindowedBackend};
 use crate::schedule::LrSchedule;
-use crate::telemetry::{Counter, Gauge, Telemetry};
+use crate::telemetry::{span_label, Counter, Gauge, Telemetry};
 
 /// Configuration for [`DataParallelTrainer`]: the windowed-backend knobs
 /// plus the replica count and the gradient-bucket size.
@@ -239,7 +239,10 @@ impl AllReduceSink {
     /// across ranks, so the counters sum to exactly `4·w·(w−1)·len` bytes.
     fn allreduce(&self, parts: &mut [&mut [f32]], what: &str, count_flush: bool) {
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        let span = self.tel.span("comm", format!("allreduce {what}"));
+        let span = self.tel.span(
+            "comm",
+            span_label(&self.tel, || format!("allreduce {what}")),
+        );
         self.comm.allreduce_vec(parts);
         span.end();
         self.bytes

@@ -33,7 +33,7 @@ use crate::host::engine::{
     TrainingState,
 };
 use crate::optimpool::{LayerStore, OptimizerPool};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{span_label, Telemetry};
 
 /// Commands sent to an executor thread.
 enum Cmd {
@@ -204,7 +204,9 @@ impl ParamBackend for MultiStreamBackend {
         for i in 0..nb {
             hooks.fire(i, HookPoint::PreForward, &ctx(i));
             let mut blk = self.slot.clone();
-            let load_span = self.tel.span("h2d-copy", format!("load L{i}"));
+            let load_span = self
+                .tel
+                .span("h2d-copy", span_label(&self.tel, || format!("load L{i}")));
             self.store.read_params_into(i, stage);
             // Half modes: executors compute on the round-through-half
             // parameter grid, exactly like the windowed backend's shells.
@@ -218,7 +220,9 @@ impl ParamBackend for MultiStreamBackend {
                 tx.send(Cmd::Forward(Arc::clone(&blk)))
                     .expect("executor alive");
             }
-            let span = self.tel.span("compute", format!("fp L{i}"));
+            let span = self
+                .tel
+                .span("compute", span_label(&self.tel, || format!("fp L{i}")));
             for rx in &reply_rxs {
                 let reply = rx.recv().expect("fp reply");
                 q_depth.add(-1);
@@ -277,7 +281,9 @@ impl ParamBackend for MultiStreamBackend {
                 tx.send(Cmd::Backward(Arc::clone(&blk), i))
                     .expect("executor alive");
             }
-            let span = self.tel.span("compute", format!("bp L{i}"));
+            let span = self
+                .tel
+                .span("compute", span_label(&self.tel, || format!("bp L{i}")));
             let mut parts: Vec<Box<BlockGrads>> = Vec::with_capacity(self.streams);
             for rx in &reply_rxs {
                 if let Reply::Grads(g) = rx.recv().expect("bp reply") {

@@ -45,7 +45,7 @@ use crate::host::engine::{
 };
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{span_label, Telemetry};
 use crate::tier::{SpillPolicy, TierPlan};
 
 /// Configuration of the functional offloaded trainer.
@@ -696,7 +696,7 @@ impl ParamBackend for WindowedBackend {
             stats
                 .d2h_wait_ns
                 .fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
+            let span = tel_off.span("d2h-copy", span_label(&tel_off, || format!("d2h L{layer}")));
             device_off.begin_d2h();
             let bytes;
             if streaming {
@@ -757,11 +757,13 @@ impl ParamBackend for WindowedBackend {
                         .shell_wait_ns
                         .fetch_add(wall.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     h_wait.record(tel_pf.now_nanos().saturating_sub(t0));
-                    let name = if refetch {
-                        format!("h2d' L{i}")
-                    } else {
-                        format!("h2d L{i}")
-                    };
+                    let name = span_label(&tel_pf, || {
+                        if refetch {
+                            format!("h2d' L{i}")
+                        } else {
+                            format!("h2d L{i}")
+                        }
+                    });
                     let span = tel_pf.span("h2d-copy", name);
                     device.begin_h2d();
                     // Blocks if iteration k-1's update of layer i is pending.
@@ -851,7 +853,9 @@ impl ParamBackend for WindowedBackend {
                     .fetch_wait_ns
                     .fetch_add(wall.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 assert_eq!(gi, i, "fp prefetch order");
-                let span = self.tel.span("compute", format!("fp L{i}"));
+                let span = self
+                    .tel
+                    .span("compute", span_label(&self.tel, || format!("fp L{i}")));
                 let next = parallel_forward(&block, &x, cw);
                 span.end();
                 hooks.fire(i, HookPoint::PostForward, &ctx(i));
@@ -901,7 +905,9 @@ impl ParamBackend for WindowedBackend {
                     }
                 };
                 hooks.fire(i, HookPoint::PreBackward, &ctx(i));
-                let span = self.tel.span("compute", format!("bp L{i}"));
+                let span = self
+                    .tel
+                    .span("compute", span_label(&self.tel, || format!("bp L{i}")));
                 let mut sg = self.step_grads.pop().expect("step-grad accumulator");
                 // Deterministic fan-in: per-sample raw gradients fold down
                 // the canonical pairwise tree (leaf = scaled sample gradient

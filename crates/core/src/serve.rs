@@ -18,7 +18,20 @@
 //! * **The KV arena** — `slots × layers` per-sequence K/V caches of
 //!   `2 · max_seq · hidden` f32 entries each, allocated once at engine
 //!   construction and reused as sequences finish (admission = slot reuse,
-//!   never an allocation).
+//!   never an allocation). Per head, keys sit in the GEMM engine's panel
+//!   layout — `[⌈max_seq/NR⌉][dh][NR]`, token `t` in lane `t mod NR` of
+//!   panel `⌊t/NR⌋`, written in place as the token is appended — so the
+//!   scores product reads them directly; values stay row-major
+//!   `[max_seq][dh]`. Byte accounting counts entries, not panel padding.
+//!
+//! Weights are held the same way. At construction the host store becomes
+//! one [`DecodeBlock`] image per layer — LN vectors and biases as they are,
+//! the four weight matrices packed once into panels — and the tied LM head
+//! is packed once beside the embedding. Shells are images too, so staging
+//! a layer is a plain copy (plus the half-width round-through), and no
+//! weight, head row or cached key is ever packed in a round. Parameter
+//! byte counters (`block_bytes`, H2D traffic, [`ServeEngine::param_bytes`])
+//! count parameters, not padding.
 //!
 //! Given a fixed `device_capacity`, the window is derived from what remains
 //! *after* the KV arena — the serving analogue of the training-side
@@ -32,17 +45,18 @@
 //! round in-flight sequences run their single pending token — *decode*),
 //! then the tied LM head and per-request sampling. Parameter H2D overlaps
 //! decode compute exactly as it overlaps training compute: the prefetcher
-//! thread stages layer `i+1` while the compute loop runs layer `i`.
+//! thread stages layer `i+1` while the compute loop runs layer `i`. That
+//! thread lives as long as the engine and is woken once per round, so a
+//! round spawns no thread.
 //!
 //! The compute loop runs each layer once for all slots together. Every
 //! active slot's pending rows are stacked, in slot order, into one
 //! `[ΣR, H]` activation (Orca-style selective batching), and each streamed
-//! layer runs over the whole stack with [`Block::forward_decode_batch`]:
-//! LN1 → QKV → proj → LN2 → fc1 → GELU → fc2 are single GEMMs and
-//! row-wise ops, so each weight matrix is packed once per round instead
-//! of once per slot. The
-//! only per-slot step is the ragged attention section, where each slot's
-//! rows push to and attend over its own KV cache;
+//! layer runs over the whole stack with
+//! [`DecodeBlock::forward_decode_batch`]: LN1 → QKV → proj → LN2 → fc1 →
+//! GELU → fc2 are single GEMMs over pre-packed weights (never packed in a
+//! round) and row-wise ops. The only per-slot step is the ragged attention
+//! section, where each slot's rows push to and attend over its own KV cache;
 //! [`ServeConfig::compute_workers`] fans those runs across threads. The
 //! head works the same way: each slot's last row is gathered into
 //! `[B, H]` for one final layernorm and one `[B, vocab]` product, then
@@ -54,10 +68,11 @@
 //!
 //! Each sequence's math touches only its own KV cache, the shared streamed
 //! weights, and its own seeded sampling RNG. Stacking does not change the
-//! bits: every product runs through the batch-stable (`_stable`) GEMM
-//! entries, whose per-row result does not depend on how many rows share
-//! the call; layernorm and GELU are row- and element-wise; and every
-//! softmax covers exactly one sequence's causal prefix. Token streams are
+//! bits: every product runs through the batch-stable GEMM entries — over
+//! pre-packed panels, read by the same loop in the same order as panels
+//! packed on the fly — whose per-row result does not depend on how many
+//! rows share the call; layernorm and GELU are row- and element-wise; and
+//! every softmax covers exactly one sequence's causal prefix. Token streams are
 //! therefore bit-identical across window sizes, slot counts, worker
 //! counts, arrival interleavings, and prefill/decode splits — asserted by
 //! the integration suite.
@@ -67,20 +82,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam_channel::bounded;
+use crossbeam_channel::{bounded, Receiver, Sender};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use stronghold_model::block::{Block, BlockDecodeScratch};
+use stronghold_model::block::{BlockDecodeScratch, DecodeBlock};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::{HeadDecodeScratch, Transformer};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
+use stronghold_tensor::matmul::PackedB;
 use stronghold_tensor::{PackedHalf, Precision, Tensor};
 
 use crate::error::RuntimeError;
 use crate::host::device::HostDevice;
 use crate::host::engine::TrainingState;
-use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
+use crate::telemetry::{span_label, Counter, Gauge, Histogram, Telemetry};
 
 /// Configuration of a [`ServeEngine`].
 #[derive(Clone, Debug)]
@@ -190,10 +206,12 @@ struct DecodeBatch {
 /// The continuous-batching generation engine.
 pub struct ServeEngine {
     model: Transformer, // embedding + final LN; blocks live in `store`
-    store: Vec<Vec<f32>>,
-    shells: Vec<Block>,
-    prefetch_stage: Vec<f32>,
-    prefetch_pack: PackedHalf,
+    /// Host-side layer store: one packed serving image per layer, shared
+    /// with the H2D thread.
+    store: Arc<Vec<DecodeBlock>>,
+    stream: LayerStream,
+    /// The tied LM head, packed once.
+    head: PackedB,
     device: Arc<HostDevice>,
     /// The KV arena, layer-major: `kv[layer][slot]`, so one layer's caches
     /// for every slot are one slice.
@@ -205,7 +223,6 @@ pub struct ServeEngine {
     block_bytes: u64,
     kv_bytes: u64,
     max_seq: usize,
-    precision: Precision,
     temperature: f32,
     tel: Telemetry,
     clock: Instant,
@@ -230,8 +247,8 @@ impl ServeEngine {
         Self::from_model(Transformer::new(mcfg, seed), cfg, Telemetry::disabled())
     }
 
-    /// Builds an engine from a model, taking ownership of its blocks as the
-    /// CPU-side layer store.
+    /// Builds an engine from a model, packing its blocks into the CPU-side
+    /// layer store of serving images (each block is dropped once packed).
     pub fn from_model(mut model: Transformer, cfg: ServeConfig, tel: Telemetry) -> Self {
         let mcfg = model.cfg;
         let layers = mcfg.layers;
@@ -264,18 +281,22 @@ impl ServeEngine {
         // for the engine's lifetime; slot reuse rewinds caches in place.
         device.alloc(kv_bytes);
 
-        let mut store = Vec::with_capacity(layers);
-        let mut shells = Vec::with_capacity(window + 1);
-        for b in model.blocks.drain(..) {
-            store.push(b.flatten_params());
-            if shells.len() < window + 1 {
-                shells.push(b);
-            }
-        }
-        while shells.len() < window + 1 {
-            let src = shells[0].clone();
-            shells.push(src);
-        }
+        let store: Arc<Vec<DecodeBlock>> = Arc::new(
+            model
+                .blocks
+                .drain(..)
+                .map(|b| DecodeBlock::pack(&b))
+                .collect(),
+        );
+        let stream = LayerStream::spawn(
+            Arc::clone(&store),
+            vec![store[0].clone(); window + 1],
+            block_bytes,
+            cfg.precision,
+            Arc::clone(&device),
+            tel.clone(),
+        );
+        let head = model.pack_head();
 
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;
@@ -299,9 +320,8 @@ impl ServeEngine {
         ServeEngine {
             model,
             store,
-            shells,
-            prefetch_stage: Vec::new(),
-            prefetch_pack: PackedHalf::new(cfg.precision),
+            stream,
+            head,
             device,
             kv,
             slots: (0..cfg.slots).map(|_| None).collect(),
@@ -311,7 +331,6 @@ impl ServeEngine {
             block_bytes,
             kv_bytes,
             max_seq,
-            precision: cfg.precision,
             temperature: cfg.temperature,
             clock: Instant::now(),
             c_requests: tel.counter("serve.requests"),
@@ -374,7 +393,10 @@ impl ServeEngine {
     /// store): when this exceeds [`HostDevice::capacity`], the engine is
     /// serving a model larger than the device arena.
     pub fn param_bytes(&self) -> u64 {
-        self.store.iter().map(|l| l.len() as u64 * 4).sum::<u64>()
+        self.store
+            .iter()
+            .map(|l| l.param_count() as u64 * 4)
+            .sum::<u64>()
             + self.model.embedding.param_count() as u64 * 4
             + (self.model.lnf_g.numel() + self.model.lnf_b.numel()) as u64 * 4
     }
@@ -476,7 +498,7 @@ impl ServeEngine {
     ///
     /// A round is: admission → embed every active slot's pending tokens
     /// into one stacked `[ΣR, H]` activation → one streamed pass over all
-    /// layers, each a single stacked [`Block::forward_decode_batch`]
+    /// layers, each a single stacked [`DecodeBlock::forward_decode_batch`]
     /// (prefetcher thread staging H2D ahead of compute, `m+1` shells
     /// circulating through the device budget) → one batched last-row LM
     /// head → one sampled token per active slot.
@@ -524,81 +546,35 @@ impl ServeEngine {
         self.h_batch_rows.record(rows as u64);
 
         // ---- one layer-streamed pass over the stacked batch ----
-        let m = self.window;
+        // The H2D thread stages layer i+1.. while this thread runs layer i
+        // over the whole stack (one GEMM per linear; attention per slot
+        // against that slot's cache of this layer), then releases the
+        // shell back to the window.
         let bb = self.block_bytes;
-        let precision = self.precision;
-        let device = Arc::clone(&self.device);
-        let tel = self.tel.clone();
-        let store = &self.store;
-        let stage = &mut self.prefetch_stage;
-        let pack = &mut self.prefetch_pack;
-        let shells = &mut self.shells;
-        let kv = &mut self.kv;
-        let (fp_tx, fp_rx) = bounded::<(usize, Block)>(m);
-        let (free_tx, free_rx) = bounded::<Block>(m + 1);
-        for sh in shells.drain(..) {
-            free_tx.send(sh).expect("seed free shells");
+        let chans = self.stream.chans();
+        chans.start.send(()).expect("serving H2D thread alive");
+        for _ in 0..self.store.len() {
+            let (i, block) = chans.ready.recv().expect("serving H2D thread alive");
+            let span = self
+                .tel
+                .span("serve-compute", span_label(&self.tel, || format!("L{i}")));
+            block.forward_decode_batch(
+                &batch.x,
+                &batch.runs,
+                &mut self.kv[i],
+                &mut batch.ws,
+                &mut batch.y,
+            );
+            std::mem::swap(&mut batch.x, &mut batch.y);
+            span.end();
+            self.device.free(bb);
+            chans.free.send(block).expect("return shell");
         }
-
-        std::thread::scope(|scope| {
-            // Prefetcher: identical shape to the training H2D engine —
-            // recv a free shell, stage the layer (rounding through the
-            // half-width payload when configured), account the copy.
-            let device_pf = Arc::clone(&device);
-            let free_rx_pf = free_rx.clone();
-            let tel_pf = tel.clone();
-            scope.spawn(move || {
-                for (i, flat) in store.iter().enumerate() {
-                    let Ok(mut shell) = free_rx_pf.recv() else {
-                        return;
-                    };
-                    let span = tel_pf.span("h2d-copy", span_label(&tel_pf, || format!("h2d L{i}")));
-                    device_pf.begin_h2d();
-                    stage.clear();
-                    stage.extend_from_slice(flat);
-                    device_pf.alloc(bb);
-                    let h2d_bytes = if precision.is_half() {
-                        pack.round_through(stage);
-                        pack.nbytes()
-                    } else {
-                        (stage.len() * 4) as u64
-                    };
-                    shell.load_flat_params(stage);
-                    device_pf.end_h2d(h2d_bytes);
-                    span.end();
-                    if fp_tx.send((i, shell)).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Compute: run the whole stack through each layer as it lands
-            // (one GEMM per linear; attention per slot against that slot's
-            // cache of this layer), then release the shell to the window.
-            while let Ok((i, block)) = fp_rx.recv() {
-                let span = tel.span("serve-compute", span_label(&tel, || format!("L{i}")));
-                block.forward_decode_batch(
-                    &batch.x,
-                    &batch.runs,
-                    &mut kv[i],
-                    &mut batch.ws,
-                    &mut batch.y,
-                );
-                std::mem::swap(&mut batch.x, &mut batch.y);
-                span.end();
-                device.free(bb);
-                free_tx.send(block).expect("return shell");
-            }
-        });
-        drop(free_tx);
-        while let Ok(sh) = free_rx.try_recv() {
-            self.shells.push(sh);
-        }
-        debug_assert_eq!(self.shells.len(), m + 1, "window shells must all return");
 
         // ---- batched head + per-slot sampling + completion ----
         let batch = &mut self.batch;
-        self.model.lm_logits_last_batch_into(
+        self.model.lm_logits_packed_batch_into(
+            &self.head,
             &batch.x,
             &batch.runs,
             &mut batch.head_ws,
@@ -649,13 +625,84 @@ impl ServeEngine {
     }
 }
 
-/// A span label, formatted only when telemetry is recording: disabled
-/// telemetry gets an empty `String`, which does not allocate.
-fn span_label(tel: &Telemetry, label: impl FnOnce() -> String) -> String {
-    if tel.is_enabled() {
-        label()
-    } else {
-        String::new()
+/// The engine's H2D stage: one thread, alive for the engine's lifetime,
+/// that streams every layer once per round. It waits for a round start,
+/// then for each layer takes a free shell (blocking while all `m+1` are
+/// staged or in compute — the window), copies the layer's image in
+/// (rounding it through the half-width payload when configured), accounts
+/// the copy in parameter bytes, and hands the shell to compute.
+struct LayerStream {
+    /// Dropped before the join, which unblocks the thread wherever it
+    /// waits.
+    chans: Option<StreamChans>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The compute side's channel ends.
+struct StreamChans {
+    start: Sender<()>,
+    ready: Receiver<(usize, DecodeBlock)>,
+    free: Sender<DecodeBlock>,
+}
+
+impl LayerStream {
+    fn spawn(
+        store: Arc<Vec<DecodeBlock>>,
+        shells: Vec<DecodeBlock>,
+        block_bytes: u64,
+        precision: Precision,
+        device: Arc<HostDevice>,
+        tel: Telemetry,
+    ) -> Self {
+        let window = shells.len() - 1;
+        let (start, start_rx) = bounded::<()>(1);
+        let (ready_tx, ready) = bounded(window);
+        let (free, free_rx) = bounded(window + 1);
+        for shell in shells {
+            free.send(shell).expect("seed free shells");
+        }
+        let thread = std::thread::Builder::new()
+            .name("serve-h2d".into())
+            .spawn(move || {
+                let mut pack = PackedHalf::new(precision);
+                while start_rx.recv().is_ok() {
+                    for (i, image) in store.iter().enumerate() {
+                        let Ok(mut shell) = free_rx.recv() else {
+                            return;
+                        };
+                        let span = tel.span("h2d-copy", span_label(&tel, || format!("h2d L{i}")));
+                        device.begin_h2d();
+                        device.alloc(block_bytes);
+                        shell.copy_from(image);
+                        shell.round_through(&mut pack);
+                        device.end_h2d(block_bytes);
+                        span.end();
+                        if ready_tx.send((i, shell)).is_err() {
+                            return;
+                        }
+                    }
+                }
+            })
+            .expect("spawn the serving H2D thread");
+        LayerStream {
+            chans: Some(StreamChans { start, ready, free }),
+            thread: Some(thread),
+        }
+    }
+
+    fn chans(&self) -> &StreamChans {
+        self.chans.as_ref().expect("channels live until drop")
+    }
+}
+
+impl Drop for LayerStream {
+    fn drop(&mut self) {
+        self.chans = None;
+        if let Some(thread) = self.thread.take() {
+            // A panic on the H2D thread already surfaced as a closed
+            // channel in `step`; dropping must not panic again.
+            let _ = thread.join();
+        }
     }
 }
 

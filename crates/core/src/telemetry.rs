@@ -749,6 +749,17 @@ fn merge(sorted: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
+/// A span label, formatted only when telemetry is recording: disabled
+/// telemetry gets an empty `String`, which does not allocate. Hot paths
+/// pass their `format!` as the closure so a disabled handle costs nothing.
+pub fn span_label(tel: &Telemetry, label: impl FnOnce() -> String) -> String {
+    if tel.is_enabled() {
+        label()
+    } else {
+        String::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,12 +6,13 @@ use stronghold_tensor::attention::{
     Attention, AttentionCache, AttentionGrads, DecodeScratch, KvCache,
 };
 use stronghold_tensor::linear::{Linear, LinearGrads};
+use stronghold_tensor::matmul::{matmul_nt_packed, PackedB};
 use stronghold_tensor::ops::{
-    add, add_assign, axpy, gelu, gelu_backward, gelu_into, layernorm, layernorm_backward,
+    add, add_assign, add_bias, axpy, gelu, gelu_backward, gelu_into, layernorm, layernorm_backward,
     layernorm_into, LayerNormCache,
 };
 use stronghold_tensor::scratch;
-use stronghold_tensor::Tensor;
+use stronghold_tensor::{PackedHalf, Tensor};
 
 /// Parameters of one pre-norm transformer block:
 /// `y = x + Attn(LN1(x)); z = y + W2·GELU(W1·LN2(y))`.
@@ -59,7 +60,7 @@ impl BlockCache {
     }
 }
 
-/// Reusable workspace for [`Block::forward_decode_batch`]: every
+/// Reusable workspace for [`DecodeBlock::forward_decode_batch`]: every
 /// intermediate activation of the serving path, sized on first use and
 /// recycled across decode rounds so the steady state never allocates.
 /// One workspace serves a whole ragged batch (it is not per sequence).
@@ -71,6 +72,9 @@ pub struct BlockDecodeScratch {
     attn_out: Tensor,
     fc1_out: Tensor,
     gelu_out: Tensor,
+    /// [`Block::forward_decode_batch`]'s packed image of the block it runs
+    /// (repacked every call; the serving engine keeps images instead).
+    image: Option<DecodeBlock>,
 }
 
 impl BlockDecodeScratch {
@@ -89,6 +93,7 @@ impl BlockDecodeScratch {
             attn_out: Tensor::zeros([1]),
             fc1_out: Tensor::zeros([1]),
             gelu_out: Tensor::zeros([1]),
+            image: None,
         }
     }
 }
@@ -96,6 +101,215 @@ impl BlockDecodeScratch {
 impl Default for BlockDecodeScratch {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A linear layer in serving form: the weight pre-packed, the bias as is.
+#[derive(Clone, Debug)]
+struct PackedLinear {
+    weight: PackedB,
+    bias: Tensor,
+}
+
+impl PackedLinear {
+    fn pack(l: &Linear) -> Self {
+        let (n, k) = l.weight.shape().as_2d();
+        PackedLinear {
+            weight: PackedB::pack(l.weight.data(), n, k),
+            bias: l.bias.clone(),
+        }
+    }
+
+    fn repack_from(&mut self, l: &Linear) {
+        let (n, k) = l.weight.shape().as_2d();
+        self.weight.repack(l.weight.data(), n, k);
+        load(&mut self.bias, &l.bias);
+    }
+
+    fn copy_from(&mut self, src: &PackedLinear) {
+        self.weight.copy_from(&src.weight);
+        load(&mut self.bias, &src.bias);
+    }
+
+    fn round_through(&mut self, pack: &mut PackedHalf) {
+        pack.round_through(self.weight.panels_mut());
+        pack.round_through(self.bias.data_mut());
+    }
+
+    fn param_count(&self) -> usize {
+        self.weight.n() * self.weight.k() + self.bias.numel()
+    }
+
+    /// `y = x · Wᵀ + b` with batch-stable bits: equal to
+    /// [`Linear::forward_stable_into`] over the unpacked layer.
+    fn forward_into(&self, x: &Tensor, y: &mut Tensor) {
+        let (t, k) = x.shape().as_2d();
+        assert_eq!(k, self.weight.k(), "packed linear: in dim");
+        y.reset_for([t, self.weight.n()]);
+        matmul_nt_packed(x.data(), self.weight.view(), y.data_mut(), t);
+        add_bias(y, &self.bias);
+    }
+}
+
+/// Overwrites `dst` with `src`, reusing `dst`'s allocation.
+fn load(dst: &mut Tensor, src: &Tensor) {
+    dst.reset_for(*src.shape());
+    dst.data_mut().copy_from_slice(src.data());
+}
+
+/// The serving image of one [`Block`]: layernorm vectors and biases as
+/// they are, and the QKV, output-projection and MLP weights packed once
+/// into the GEMM engine's panel layout ([`PackedB`]), so a decode pass
+/// packs no weight. Images are what the serving engine keeps in its host
+/// store and circulates through its device shells. Parameter accounting
+/// ([`DecodeBlock::param_count`]) excludes panel padding.
+#[derive(Clone, Debug)]
+pub struct DecodeBlock {
+    ln1_g: Tensor,
+    ln1_b: Tensor,
+    qkv: PackedLinear,
+    proj: PackedLinear,
+    ln2_g: Tensor,
+    ln2_b: Tensor,
+    fc1: PackedLinear,
+    fc2: PackedLinear,
+    heads: usize,
+}
+
+impl DecodeBlock {
+    /// Packs a block's serving image.
+    pub fn pack(block: &Block) -> Self {
+        DecodeBlock {
+            ln1_g: block.ln1_g.clone(),
+            ln1_b: block.ln1_b.clone(),
+            qkv: PackedLinear::pack(&block.attn.qkv),
+            proj: PackedLinear::pack(&block.attn.proj),
+            ln2_g: block.ln2_g.clone(),
+            ln2_b: block.ln2_b.clone(),
+            fc1: PackedLinear::pack(&block.fc1),
+            fc2: PackedLinear::pack(&block.fc2),
+            heads: block.attn.heads,
+        }
+    }
+
+    /// Repacks from `block` in place, reusing every buffer.
+    pub fn repack_from(&mut self, block: &Block) {
+        load(&mut self.ln1_g, &block.ln1_g);
+        load(&mut self.ln1_b, &block.ln1_b);
+        self.qkv.repack_from(&block.attn.qkv);
+        self.proj.repack_from(&block.attn.proj);
+        load(&mut self.ln2_g, &block.ln2_g);
+        load(&mut self.ln2_b, &block.ln2_b);
+        self.fc1.repack_from(&block.fc1);
+        self.fc2.repack_from(&block.fc2);
+        self.heads = block.attn.heads;
+    }
+
+    /// Copies another image in, reusing every buffer (the serving H2D
+    /// copy of one layer). Copying packs nothing.
+    pub fn copy_from(&mut self, src: &DecodeBlock) {
+        load(&mut self.ln1_g, &src.ln1_g);
+        load(&mut self.ln1_b, &src.ln1_b);
+        self.qkv.copy_from(&src.qkv);
+        self.proj.copy_from(&src.proj);
+        load(&mut self.ln2_g, &src.ln2_g);
+        load(&mut self.ln2_b, &src.ln2_b);
+        self.fc1.copy_from(&src.fc1);
+        self.fc2.copy_from(&src.fc2);
+        self.heads = src.heads;
+    }
+
+    /// Rounds every parameter in place through `pack`'s half format — the
+    /// value grid a half-width H2D payload lands on. Element-wise, so it
+    /// equals packing a rounded block (panel padding stays zero); a no-op
+    /// at F32.
+    pub fn round_through(&mut self, pack: &mut PackedHalf) {
+        for t in [
+            &mut self.ln1_g,
+            &mut self.ln1_b,
+            &mut self.ln2_g,
+            &mut self.ln2_b,
+        ] {
+            pack.round_through(t.data_mut());
+        }
+        for l in [&mut self.qkv, &mut self.proj, &mut self.fc1, &mut self.fc2] {
+            l.round_through(pack);
+        }
+    }
+
+    /// Parameter count (`12·h² + 13·h`), panel padding excluded.
+    pub fn param_count(&self) -> usize {
+        self.ln1_g.numel()
+            + self.ln1_b.numel()
+            + self.ln2_g.numel()
+            + self.ln2_b.numel()
+            + [&self.qkv, &self.proj, &self.fc1, &self.fc2]
+                .iter()
+                .map(|l| l.param_count())
+                .sum::<usize>()
+    }
+
+    /// The one-run case of [`DecodeBlock::forward_decode_batch`]: `R` new
+    /// tokens `x: [R, H]` of one sequence against its [`KvCache`].
+    pub fn forward_decode(
+        &self,
+        x: &Tensor,
+        cache: &mut KvCache,
+        ws: &mut BlockDecodeScratch,
+        y: &mut Tensor,
+    ) {
+        let r = x.shape().dim(0);
+        self.forward_decode_batch(x, &[r], std::slice::from_mut(cache), ws, y);
+    }
+
+    /// Incremental forward over a ragged stack of sequences: `x: [ΣR, H]`
+    /// holds `runs[s]` consecutive new tokens of sequence `s` (prefill
+    /// runs, single decode tokens, or `0` to sit out), each reading and
+    /// extending its own `caches[s]`. LN1 → QKV → proj → LN2 → fc1 → GELU
+    /// → fc2 run once over the whole stack; only attention is per run.
+    /// The serving decode path: every other decode entry calls this.
+    ///
+    /// Every product is batch-stable — the weights through
+    /// [`matmul_nt_packed`], attention through the K cache's panels and
+    /// the stable NN entry — LN and GELU are row-/element-wise, and each
+    /// softmax covers exactly its own sequence's causal prefix, so one
+    /// token's output bits are independent of how many tokens — of its
+    /// own sequence or of others — ride the call: prefill, token-at-a-time
+    /// decode and any stacking agree bit-for-bit. Writes the block output
+    /// into `y` (reused across calls).
+    pub fn forward_decode_batch(
+        &self,
+        x: &Tensor,
+        runs: &[usize],
+        caches: &mut [KvCache],
+        ws: &mut BlockDecodeScratch,
+        y: &mut Tensor,
+    ) {
+        layernorm_into(
+            x,
+            &self.ln1_g,
+            &self.ln1_b,
+            LN_EPS,
+            &mut ws.ln1_out,
+            &mut ws.ln_cache,
+        );
+        self.qkv.forward_into(&ws.ln1_out, ws.attn.qkv_mut());
+        ws.attn.attend(self.heads, runs, caches);
+        self.proj.forward_into(ws.attn.ctx(), &mut ws.attn_out);
+        // after_attn = x + attn_out, reusing the attention output buffer.
+        add_assign(&mut ws.attn_out, x);
+        layernorm_into(
+            &ws.attn_out,
+            &self.ln2_g,
+            &self.ln2_b,
+            LN_EPS,
+            &mut ws.ln1_out,
+            &mut ws.ln_cache,
+        );
+        self.fc1.forward_into(&ws.ln1_out, &mut ws.fc1_out);
+        gelu_into(&ws.fc1_out, &mut ws.gelu_out);
+        self.fc2.forward_into(&ws.gelu_out, y);
+        add_assign(y, &ws.attn_out);
     }
 }
 
@@ -198,19 +412,11 @@ impl Block {
         self.forward_decode_batch(x, &[r], std::slice::from_mut(cache), ws, y);
     }
 
-    /// Incremental forward over a ragged stack of sequences: `x: [ΣR, H]`
-    /// holds `runs[s]` consecutive new tokens of sequence `s` (prefill
-    /// runs, single decode tokens, or `0` to sit out), each reading and
-    /// extending its own `caches[s]`. LN1 → QKV → proj → LN2 → fc1 → GELU
-    /// → fc2 run once over the whole stack; only attention is per run.
-    ///
-    /// Every product goes through the batch-stable GEMM entries, LN and
-    /// GELU are row-/element-wise, and each softmax covers exactly its own
-    /// sequence's causal prefix, so one token's output bits are
-    /// independent of how many tokens — of its own sequence or of others —
-    /// ride the call: prefill, token-at-a-time decode and any stacking
-    /// agree bit-for-bit. Writes the block output into `y` (reused across
-    /// calls).
+    /// Incremental forward over a ragged stack of sequences: packs this
+    /// block's serving image into `ws` (reusing its buffers) and runs
+    /// [`DecodeBlock::forward_decode_batch`], so the bits are the serving
+    /// engine's. Callers that decode repeatedly over fixed weights should
+    /// keep a [`DecodeBlock`] instead of paying the pack every call.
     pub fn forward_decode_batch(
         &self,
         x: &Tensor,
@@ -219,30 +425,15 @@ impl Block {
         ws: &mut BlockDecodeScratch,
         y: &mut Tensor,
     ) {
-        layernorm_into(
-            x,
-            &self.ln1_g,
-            &self.ln1_b,
-            LN_EPS,
-            &mut ws.ln1_out,
-            &mut ws.ln_cache,
-        );
-        self.attn
-            .forward_decode_batch(&ws.ln1_out, runs, caches, &mut ws.attn, &mut ws.attn_out);
-        // after_attn = x + attn_out, reusing the attention output buffer.
-        add_assign(&mut ws.attn_out, x);
-        layernorm_into(
-            &ws.attn_out,
-            &self.ln2_g,
-            &self.ln2_b,
-            LN_EPS,
-            &mut ws.ln1_out,
-            &mut ws.ln_cache,
-        );
-        self.fc1.forward_stable_into(&ws.ln1_out, &mut ws.fc1_out);
-        gelu_into(&ws.fc1_out, &mut ws.gelu_out);
-        self.fc2.forward_stable_into(&ws.gelu_out, y);
-        add_assign(y, &ws.attn_out);
+        let image = match ws.image.take() {
+            Some(mut image) => {
+                image.repack_from(self);
+                image
+            }
+            None => DecodeBlock::pack(self),
+        };
+        image.forward_decode_batch(x, runs, caches, ws, y);
+        ws.image = Some(image);
     }
 
     /// Backward for one sample given upstream `dy`, the block input `x` and
@@ -561,6 +752,33 @@ mod tests {
         // Same forward result.
         let x = normal([4, 16], 1.0, &mut rng);
         assert_eq!(b1.forward_no_cache(&x), b2.forward_no_cache(&x));
+    }
+
+    #[test]
+    fn decode_image_rounds_and_counts_like_the_flat_block() {
+        let mut rng = seeded_rng(78);
+        let b = Block::new(16, 2, &mut rng);
+        let image = DecodeBlock::pack(&b);
+        assert_eq!(image.param_count(), b.param_count());
+
+        // Rounding the copied image equals imaging the rounded block.
+        let mut pack = PackedHalf::new(stronghold_tensor::Precision::Bf16);
+        let mut shell = DecodeBlock::pack(&Block::new(16, 2, &mut seeded_rng(5)));
+        shell.copy_from(&image);
+        shell.round_through(&mut pack);
+        let mut flat = b.flatten_params();
+        pack.round_through(&mut flat);
+        let mut rounded = b.clone();
+        rounded.load_flat_params(&flat);
+
+        let x = normal([3, 16], 1.0, &mut rng);
+        let run = |img: &DecodeBlock| {
+            let mut cache = KvCache::new(2, 8, 4);
+            let mut y = Tensor::zeros([1]);
+            img.forward_decode(&x, &mut cache, &mut BlockDecodeScratch::new(), &mut y);
+            y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(&shell), run(&DecodeBlock::pack(&rounded)));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::embedding::{Embedding, EmbeddingGrads};
 use stronghold_tensor::init::seeded_rng;
 use stronghold_tensor::loss::cross_entropy;
-use stronghold_tensor::matmul::{matmul_nt, matmul_nt_stable, matmul_tn_acc};
+use stronghold_tensor::matmul::{matmul_nt, matmul_nt_packed, matmul_tn_acc, PackedB};
 use stronghold_tensor::ops::{layernorm, layernorm_backward, layernorm_into, LayerNormCache};
 use stronghold_tensor::Tensor;
 
@@ -67,12 +67,15 @@ impl HeadCache {
     }
 }
 
-/// Reusable workspace for [`Transformer::lm_logits_last_batch_into`].
+/// Reusable workspace for [`Transformer::lm_logits_packed_batch_into`].
 #[derive(Clone)]
 pub struct HeadDecodeScratch {
     last_rows: Tensor,
     lnf_out: Tensor,
     ln_cache: LayerNormCache,
+    /// [`Transformer::lm_logits_last_batch_into`]'s packed head, repacked
+    /// every call.
+    head: PackedB,
 }
 
 impl HeadDecodeScratch {
@@ -82,6 +85,7 @@ impl HeadDecodeScratch {
             last_rows: Tensor::zeros([1]),
             lnf_out: Tensor::zeros([1]),
             ln_cache: LayerNormCache::default(),
+            head: PackedB::default(),
         }
     }
 }
@@ -229,14 +233,9 @@ impl Transformer {
         self.lm_logits_last_batch_into(x, &[t], ws, logits);
     }
 
-    /// Final layernorm + tied LM head for the last row of every non-empty
-    /// run of a ragged stack `x: [ΣR, H]` (the layout of
-    /// [`Block::forward_decode_batch`]): gathers those rows into `[B, H]`,
-    /// then runs one layernorm and one `[B, vocab]` product, writing row
-    /// `b` of `logits` for the `b`-th non-empty run. Layernorm is per-row
-    /// and the head product is batch-stable, so each row is bit-identical
-    /// to that sequence's own [`Transformer::lm_logits_last_into`] —
-    /// whether its last row arrived via prefill or single-token decode.
+    /// [`Transformer::lm_logits_packed_batch_into`] over a head packed
+    /// into `ws` on the spot (reusing its buffer). Serving loops that run
+    /// many rounds keep [`Transformer::pack_head`]'s result instead.
     pub fn lm_logits_last_batch_into(
         &self,
         x: &Tensor,
@@ -244,8 +243,40 @@ impl Transformer {
         ws: &mut HeadDecodeScratch,
         logits: &mut Tensor,
     ) {
+        let mut head = std::mem::take(&mut ws.head);
+        let (v, h) = self.embedding.token.shape().as_2d();
+        head.repack(self.embedding.token.data(), v, h);
+        self.lm_logits_packed_batch_into(&head, x, runs, ws, logits);
+        ws.head = head;
+    }
+
+    /// The tied LM head (the `[vocab, H]` token table) packed once for
+    /// [`Transformer::lm_logits_packed_batch_into`].
+    pub fn pack_head(&self) -> PackedB {
+        let (v, h) = self.embedding.token.shape().as_2d();
+        PackedB::pack(self.embedding.token.data(), v, h)
+    }
+
+    /// Final layernorm + tied LM head for the last row of every non-empty
+    /// run of a ragged stack `x: [ΣR, H]` (the layout of
+    /// [`crate::block::DecodeBlock::forward_decode_batch`]), with `head`
+    /// from [`Transformer::pack_head`]: gathers those rows into `[B, H]`,
+    /// then runs one layernorm and one `[B, vocab]` product, writing row
+    /// `b` of `logits` for the `b`-th non-empty run. Layernorm is per-row
+    /// and the head product is batch-stable, so each row is bit-identical
+    /// to that sequence's own [`Transformer::lm_logits_last_into`] —
+    /// whether its last row arrived via prefill or single-token decode.
+    pub fn lm_logits_packed_batch_into(
+        &self,
+        head: &PackedB,
+        x: &Tensor,
+        runs: &[usize],
+        ws: &mut HeadDecodeScratch,
+        logits: &mut Tensor,
+    ) {
         let (t, h) = x.shape().as_2d();
         assert_eq!(runs.iter().sum::<usize>(), t, "runs must cover x");
+        assert_eq!(head.k(), h, "packed head width");
         let b = runs.iter().filter(|&&r| r > 0).count();
         ws.last_rows.reset_for([b, h]);
         let mut end = 0;
@@ -264,16 +295,8 @@ impl Transformer {
             &mut ws.lnf_out,
             &mut ws.ln_cache,
         );
-        let v = self.embedding.vocab();
-        logits.reset_for([b, v]);
-        matmul_nt_stable(
-            ws.lnf_out.data(),
-            self.embedding.token.data(),
-            logits.data_mut(),
-            b,
-            h,
-            v,
-        );
+        logits.reset_for([b, head.n()]);
+        matmul_nt_packed(ws.lnf_out.data(), head.view(), logits.data_mut(), b);
     }
 
     // ----- whole-model convenience -----

@@ -15,7 +15,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::linear::{Linear, LinearGrads};
 use crate::matmul::{
-    matmul_into, matmul_nn_stable, matmul_nt, matmul_nt_into, matmul_nt_stable, matmul_tn_into,
+    matmul_into, matmul_nn_stable, matmul_nt, matmul_nt_into, matmul_nt_packed, matmul_tn_into,
+    pack_row_into, packed_len, PackedBRef,
 };
 use crate::ops::{scale_assign, softmax_row_inplace, softmax_rows_backward_into};
 use crate::scratch;
@@ -227,12 +228,20 @@ impl Attention {
 }
 
 /// Per-sequence K/V cache for incremental decoding: the keys and values of
-/// every token seen so far, stored head-major so the causal prefix of one
-/// head is a contiguous `[len, dh]` slice ready for the stable GEMM entries.
+/// every token seen so far, head-major.
 ///
-/// Capacity is allocated once at construction (`2 · heads · max_seq · dh`
-/// floats); [`KvCache::clear`] rewinds the logical length for slot reuse
-/// without freeing, so steady-state decode never allocates.
+/// Keys are stored per head in the GEMM engine's packed panel layout
+/// (`[⌈max_seq/NR⌉][dh][NR]`, the layout of [`crate::matmul::PackedB`]): token
+/// `t` is column `t` of the scores product `Q·Kᵀ`, written in place when
+/// it is pushed, so the product reads the causal prefix with
+/// [`matmul_nt_packed`] and never packs a key. Lanes of the last panel
+/// past `len` hold stale or zero keys; they only feed output columns the
+/// product does not write. Values stay row-major `[max_seq, dh]` per head
+/// — the context product's `NN` pack of them is a plain row copy.
+///
+/// Capacity is allocated once at construction; [`KvCache::clear`] rewinds
+/// the logical length for slot reuse without freeing, so steady-state
+/// decode never allocates.
 #[derive(Clone, Debug)]
 pub struct KvCache {
     k: Vec<f32>,
@@ -240,6 +249,8 @@ pub struct KvCache {
     heads: usize,
     dh: usize,
     max_seq: usize,
+    /// Floats per head of `k` (`max_seq` rounded up to whole panels).
+    k_head: usize,
     len: usize,
 }
 
@@ -247,12 +258,14 @@ impl KvCache {
     /// Allocates a cache for `heads` heads of width `dh`, holding up to
     /// `max_seq` tokens.
     pub fn new(heads: usize, dh: usize, max_seq: usize) -> Self {
+        let k_head = packed_len(max_seq, dh);
         KvCache {
-            k: vec![0.0; heads * max_seq * dh],
+            k: vec![0.0; heads * k_head],
             v: vec![0.0; heads * max_seq * dh],
             heads,
             dh,
             max_seq,
+            k_head,
             len: 0,
         }
     }
@@ -277,25 +290,27 @@ impl KvCache {
         self.len = 0;
     }
 
-    /// Bytes of K/V storage this cache pins (f32 entries).
+    /// Bytes of K/V entries this cache holds at capacity (f32 entries;
+    /// panel padding is not counted).
     pub fn nbytes(&self) -> u64 {
         (2 * self.heads * self.max_seq * self.dh * std::mem::size_of::<f32>()) as u64
     }
 
-    /// Every cached key of one head, `[len, dh]` row-major.
-    pub fn keys(&self, head: usize) -> &[f32] {
-        self.head_k(head, self.len)
+    /// Every cached key of one head, copied out row-major as `[len, dh]`.
+    pub fn keys(&self, head: usize) -> Vec<f32> {
+        self.head_k(head, self.len).to_rows()
     }
 
-    /// Every cached value of one head, `[len, dh]` row-major.
-    pub fn values(&self, head: usize) -> &[f32] {
-        self.head_v(head, self.len)
+    /// Every cached value of one head, copied out row-major as `[len, dh]`.
+    pub fn values(&self, head: usize) -> Vec<f32> {
+        self.head_v(head, self.len).to_vec()
     }
 
-    /// The cached `[len, dh]` K prefix of one head.
-    fn head_k(&self, head: usize, len: usize) -> &[f32] {
-        let base = head * self.max_seq * self.dh;
-        &self.k[base..base + len * self.dh]
+    /// The first `len` cached keys of one head as a packed `[len, dh]`
+    /// NT operand.
+    fn head_k(&self, head: usize, len: usize) -> PackedBRef<'_> {
+        let base = head * self.k_head;
+        PackedBRef::new(&self.k[base..base + self.k_head], len, self.dh)
     }
 
     /// The cached `[len, dh]` V prefix of one head.
@@ -308,12 +323,14 @@ impl KvCache {
     /// `[3H]`-wide QKV activation row.
     fn push_token(&mut self, qkv_row: &[f32], h: usize) {
         assert!(self.len < self.max_seq, "KvCache overflow");
+        let dh = self.dh;
         for head in 0..self.heads {
-            let base = (head * self.max_seq + self.len) * self.dh;
-            let kcol = h + head * self.dh;
-            let vcol = 2 * h + head * self.dh;
-            self.k[base..base + self.dh].copy_from_slice(&qkv_row[kcol..kcol + self.dh]);
-            self.v[base..base + self.dh].copy_from_slice(&qkv_row[vcol..vcol + self.dh]);
+            let kcol = h + head * dh;
+            let vcol = 2 * h + head * dh;
+            let k = &mut self.k[head * self.k_head..(head + 1) * self.k_head];
+            pack_row_into(k, self.len, &qkv_row[kcol..kcol + dh]);
+            let base = (head * self.max_seq + self.len) * dh;
+            self.v[base..base + dh].copy_from_slice(&qkv_row[vcol..vcol + dh]);
         }
         self.len += 1;
     }
@@ -364,6 +381,141 @@ impl Default for DecodeScratch {
     }
 }
 
+impl DecodeScratch {
+    /// The fused `[ΣR, 3H]` QKV activation [`DecodeScratch::attend`]
+    /// reads; the caller's QKV projection writes it.
+    pub fn qkv_mut(&mut self) -> &mut Tensor {
+        &mut self.qkv_out
+    }
+
+    /// The `[ΣR, H]` context [`DecodeScratch::attend`] wrote, input to the
+    /// output projection.
+    pub fn ctx(&self) -> &Tensor {
+        &self.ctx
+    }
+
+    /// The ragged attention section of one decode batch over `heads`
+    /// heads: reads the QKV activation in [`DecodeScratch::qkv_mut`],
+    /// where `runs[s]` consecutive rows belong to sequence `s`, appends
+    /// each run's K/V rows to `caches[s]`, attends every run over its own
+    /// cache, and writes the context ([`DecodeScratch::ctx`]). Runs fan
+    /// across the workspace's workers. See
+    /// [`Attention::forward_decode_batch`] for the bit contract.
+    ///
+    /// # Panics
+    /// Panics unless `runs.len() == caches.len()`, the runs sum to the QKV
+    /// rows, and every cache matches `heads` and the head width.
+    pub fn attend(&mut self, heads: usize, runs: &[usize], caches: &mut [KvCache]) {
+        let (rows, h3) = self.qkv_out.shape().as_2d();
+        let h = h3 / 3;
+        assert_eq!(runs.len(), caches.len(), "one KvCache per run");
+        assert_eq!(runs.iter().sum::<usize>(), rows, "runs must cover x");
+        let dh = h / heads;
+        for cache in caches.iter() {
+            assert_eq!(cache.heads, heads, "KvCache heads mismatch");
+            assert_eq!(cache.dh, dh, "KvCache head width mismatch");
+        }
+
+        self.ctx.reset_for([rows, h]);
+        let qkv = self.qkv_out.data();
+        let ctx = self.ctx.data_mut();
+        let busy = runs.iter().filter(|&&r| r > 0).count();
+        let workers = self.attend.len().min(busy);
+        if workers <= 1 {
+            attend_runs(heads, qkv, runs, caches, ctx, &mut self.attend[0], h);
+        } else {
+            // Contiguous groups of `per` non-empty runs go to spawned
+            // workers; the driver thread attends the remainder itself.
+            let per = busy.div_ceil(workers);
+            std::thread::scope(|scope| {
+                let (mut runs, mut caches, mut qkv, mut ctx) = (runs, caches, qkv, ctx);
+                let mut scratch = self.attend.iter_mut();
+                let mut left = busy;
+                while left > per {
+                    let n = runs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &r)| r > 0)
+                        .nth(per - 1)
+                        .map_or(runs.len(), |(i, _)| i + 1);
+                    let rows_n: usize = runs[..n].iter().sum();
+                    let (g_runs, r_runs) = runs.split_at(n);
+                    let (g_caches, r_caches) = std::mem::take(&mut caches).split_at_mut(n);
+                    let (g_qkv, r_qkv) = qkv.split_at(rows_n * 3 * h);
+                    let (g_ctx, r_ctx) = std::mem::take(&mut ctx).split_at_mut(rows_n * h);
+                    (runs, caches, qkv, ctx) = (r_runs, r_caches, r_qkv, r_ctx);
+                    let sc = scratch.next().expect("one scratch per worker");
+                    scope.spawn(move || attend_runs(heads, g_qkv, g_runs, g_caches, g_ctx, sc, h));
+                    left -= per;
+                }
+                let sc = scratch.next().expect("one scratch per worker");
+                attend_runs(heads, qkv, runs, caches, ctx, sc, h);
+            });
+        }
+    }
+}
+
+/// The ragged attention section for consecutive runs: `qkv` and `ctx`
+/// hold exactly those runs' rows (`[ΣR, 3H]` in, `[ΣR, H]` out, hidden
+/// width `h`).
+///
+/// A run first appends all its K/V rows, then each head takes two
+/// products over the run: scores `Q·Kᵀ` as `[R, len]` (against the cache's
+/// key panels) and context `P·V` as `[R, dh]`. Row `i` softmaxes exactly
+/// its causal prefix `0..pos_i` and zeroes the rest, so the context
+/// product adds only exact zeros past `pos_i`: with the stable engine's
+/// fixed reduction order (and an accumulator that starts at `+0.0`), its
+/// bits equal a `[1, pos_i]` product's — a run of `R` tokens matches `R`
+/// single-token calls bit-for-bit (given finite `V`, as the training
+/// forward's masked `P·V` also assumes).
+fn attend_runs(
+    heads: usize,
+    qkv: &[f32],
+    runs: &[usize],
+    caches: &mut [KvCache],
+    ctx: &mut [f32],
+    ws: &mut AttendScratch,
+    h: usize,
+) {
+    let dh = h / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut row0 = 0;
+    for (&r, cache) in runs.iter().zip(caches.iter_mut()) {
+        if r == 0 {
+            continue;
+        }
+        let qkv = &qkv[row0 * 3 * h..(row0 + r) * 3 * h];
+        let ctx = &mut ctx[row0 * h..(row0 + r) * h];
+        row0 += r;
+        let base = cache.len;
+        for qkv_row in qkv.chunks_exact(3 * h) {
+            cache.push_token(qkv_row, h);
+        }
+        let len = cache.len; // tokens visible to the run's last query
+        ws.q.resize(r * dh, 0.0);
+        ws.scores.resize(r * len, 0.0);
+        ws.ctx.resize(r * dh, 0.0);
+        for head in 0..heads {
+            for (q, src) in ws.q.chunks_exact_mut(dh).zip(qkv.chunks_exact(3 * h)) {
+                q.copy_from_slice(&src[head * dh..(head + 1) * dh]);
+            }
+            matmul_nt_packed(&ws.q, cache.head_k(head, len), &mut ws.scores, r);
+            for (i, srow) in ws.scores.chunks_exact_mut(len).enumerate() {
+                let (visible, future) = srow.split_at_mut(base + i + 1);
+                for v in visible.iter_mut() {
+                    *v *= scale;
+                }
+                softmax_row_inplace(visible);
+                future.fill(0.0);
+            }
+            matmul_nn_stable(&ws.scores, cache.head_v(head, len), &mut ws.ctx, r, len, dh);
+            for (dst, src) in ctx.chunks_exact_mut(h).zip(ws.ctx.chunks_exact(dh)) {
+                dst[head * dh..(head + 1) * dh].copy_from_slice(src);
+            }
+        }
+    }
+}
+
 impl Attention {
     /// Incremental causal forward for serving: runs `R` new tokens
     /// `x: [R, H]` of one sequence whose first `cache.len()` tokens are
@@ -408,114 +560,9 @@ impl Attention {
         ws: &mut DecodeScratch,
         y: &mut Tensor,
     ) {
-        let (rows, h) = x.shape().as_2d();
-        assert_eq!(runs.len(), caches.len(), "one KvCache per run");
-        assert_eq!(runs.iter().sum::<usize>(), rows, "runs must cover x");
-        let dh = h / self.heads;
-        for cache in caches.iter() {
-            assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
-            assert_eq!(cache.dh, dh, "KvCache head width mismatch");
-        }
-
         self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [ΣR, 3H]
-        ws.ctx.reset_for([rows, h]);
-        let qkv = ws.qkv_out.data();
-        let ctx = ws.ctx.data_mut();
-        let busy = runs.iter().filter(|&&r| r > 0).count();
-        let workers = ws.attend.len().min(busy);
-        if workers <= 1 {
-            self.attend_runs(qkv, runs, caches, ctx, &mut ws.attend[0], h);
-        } else {
-            // Contiguous groups of `per` non-empty runs go to spawned
-            // workers; the driver thread attends the remainder itself.
-            let per = busy.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let (mut runs, mut caches, mut qkv, mut ctx) = (runs, caches, qkv, ctx);
-                let mut scratch = ws.attend.iter_mut();
-                let mut left = busy;
-                while left > per {
-                    let n = runs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &r)| r > 0)
-                        .nth(per - 1)
-                        .map_or(runs.len(), |(i, _)| i + 1);
-                    let rows_n: usize = runs[..n].iter().sum();
-                    let (g_runs, r_runs) = runs.split_at(n);
-                    let (g_caches, r_caches) = std::mem::take(&mut caches).split_at_mut(n);
-                    let (g_qkv, r_qkv) = qkv.split_at(rows_n * 3 * h);
-                    let (g_ctx, r_ctx) = std::mem::take(&mut ctx).split_at_mut(rows_n * h);
-                    (runs, caches, qkv, ctx) = (r_runs, r_caches, r_qkv, r_ctx);
-                    let sc = scratch.next().expect("one scratch per worker");
-                    scope.spawn(move || self.attend_runs(g_qkv, g_runs, g_caches, g_ctx, sc, h));
-                    left -= per;
-                }
-                let sc = scratch.next().expect("one scratch per worker");
-                self.attend_runs(qkv, runs, caches, ctx, sc, h);
-            });
-        }
+        ws.attend(self.heads, runs, caches);
         self.proj.forward_stable_into(&ws.ctx, y);
-    }
-
-    /// The ragged attention section for consecutive runs: `qkv` and `ctx`
-    /// hold exactly those runs' rows (`[ΣR, 3H]` in, `[ΣR, H]` out, hidden
-    /// width `h`).
-    ///
-    /// A run first appends all its K/V rows, then each head takes two
-    /// products over the run: scores `Q·Kᵀ` as `[R, len]` and context
-    /// `P·V` as `[R, dh]`. Row `i` softmaxes exactly its causal prefix
-    /// `0..pos_i` and zeroes the rest, so the context product adds only
-    /// exact zeros past `pos_i`: with the stable engine's fixed reduction
-    /// order (and an accumulator that starts at `+0.0`), its bits equal a
-    /// `[1, pos_i]` product's — a run of `R` tokens matches `R`
-    /// single-token calls bit-for-bit (given finite `V`, as the training
-    /// forward's masked `P·V` also assumes).
-    fn attend_runs(
-        &self,
-        qkv: &[f32],
-        runs: &[usize],
-        caches: &mut [KvCache],
-        ctx: &mut [f32],
-        ws: &mut AttendScratch,
-        h: usize,
-    ) {
-        let dh = h / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut row0 = 0;
-        for (&r, cache) in runs.iter().zip(caches.iter_mut()) {
-            if r == 0 {
-                continue;
-            }
-            let qkv = &qkv[row0 * 3 * h..(row0 + r) * 3 * h];
-            let ctx = &mut ctx[row0 * h..(row0 + r) * h];
-            row0 += r;
-            let base = cache.len;
-            for qkv_row in qkv.chunks_exact(3 * h) {
-                cache.push_token(qkv_row, h);
-            }
-            let len = cache.len; // tokens visible to the run's last query
-            ws.q.resize(r * dh, 0.0);
-            ws.scores.resize(r * len, 0.0);
-            ws.ctx.resize(r * dh, 0.0);
-            for head in 0..self.heads {
-                for (q, src) in ws.q.chunks_exact_mut(dh).zip(qkv.chunks_exact(3 * h)) {
-                    q.copy_from_slice(&src[head * dh..(head + 1) * dh]);
-                }
-                matmul_nt_stable(&ws.q, cache.head_k(head, len), &mut ws.scores, r, dh, len);
-                for (i, srow) in ws.scores.chunks_exact_mut(len).enumerate() {
-                    let (visible, future) = srow.split_at_mut(base + i + 1);
-                    for v in visible.iter_mut() {
-                        *v *= scale;
-                    }
-                    softmax_row_inplace(visible);
-                    future.fill(0.0);
-                }
-                matmul_nn_stable(&ws.scores, cache.head_v(head, len), &mut ws.ctx, r, len, dh);
-                for (dst, src) in ctx.chunks_exact_mut(h).zip(ws.ctx.chunks_exact(dh)) {
-                    dst[head * dh..(head + 1) * dh].copy_from_slice(src);
-                }
-            }
-        }
     }
 }
 
@@ -731,6 +778,55 @@ mod tests {
             for (a, b) in want.iter().zip(y_b.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "token {i} diverges");
             }
+        }
+    }
+
+    #[test]
+    fn prefill_run_crossing_a_key_panel_equals_token_at_a_time_bitwise() {
+        // Keys live in NR-token panels written in place; a run that grows
+        // the cache from 30 to 40 tokens starts a new panel mid-run (NR is
+        // 16 or 32), and its scores read the partial last panel.
+        let mut rng = seeded_rng(49);
+        let attn = Attention::new(16, 2, &mut rng);
+        let (split, t) = (30, 40);
+        let x = normal([t, 16], 1.0, &mut rng);
+        let rows = |r0: usize, r1: usize| {
+            Tensor::from_vec([r1 - r0, 16], x.data()[r0 * 16..r1 * 16].to_vec())
+        };
+
+        let mut cache_a = KvCache::new(2, 8, t);
+        let mut ws = DecodeScratch::new();
+        let mut y_head = Tensor::zeros([1]);
+        let mut y_tail = Tensor::zeros([1]);
+        attn.forward_decode(&rows(0, split), &mut cache_a, &mut ws, &mut y_head);
+        attn.forward_decode(&rows(split, t), &mut cache_a, &mut ws, &mut y_tail);
+
+        let mut cache_b = KvCache::new(2, 8, t);
+        let mut y_b = Tensor::zeros([1]);
+        for i in 0..t {
+            attn.forward_decode(&rows(i, i + 1), &mut cache_b, &mut ws, &mut y_b);
+            let want = if i < split {
+                &y_head.data()[i * 16..(i + 1) * 16]
+            } else {
+                &y_tail.data()[(i - split) * 16..(i - split + 1) * 16]
+            };
+            for (a, b) in want.iter().zip(y_b.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "token {i} diverges");
+            }
+        }
+        // The row-major copy-out of the key panels: token i's key is the
+        // K slice of its QKV row.
+        let mut qkv = Tensor::zeros([1]);
+        attn.qkv.forward_stable_into(&x, &mut qkv);
+        for head in 0..2 {
+            let want: Vec<f32> = (0..t)
+                .flat_map(|i| {
+                    let col = i * 48 + 16 + head * 8;
+                    qkv.data()[col..col + 8].to_vec()
+                })
+                .collect();
+            assert_eq!(cache_a.keys(head), want, "head {head} keys (prefill)");
+            assert_eq!(cache_b.keys(head), want, "head {head} keys (decode)");
         }
     }
 

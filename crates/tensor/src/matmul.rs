@@ -17,6 +17,9 @@
 //!   layout differences — `nt` and `tn` read their transposed operand
 //!   contiguously while packing — so the micro-kernel only ever sees one
 //!   canonical format and no transpose is ever materialized as a tensor.
+//!   An `nt` operand that does not change between products (serving
+//!   weights, the tied LM head, a K cache that only grows) can be packed
+//!   once into a [`PackedB`] and read in place by [`matmul_nt_packed`].
 //! * **Register tiling.** An `MR×NR` micro-kernel accumulates into a
 //!   fixed-size local array that LLVM keeps in vector registers and
 //!   autovectorizes. The micro-kernel is instantiated per ISA tier
@@ -204,22 +207,55 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 // invariant to `m`/`n`, and prefill == decode bit-for-bit.
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ` over raw row-major slices, batch-stable:
-/// always the blocked engine regardless of product size.
+/// always the blocked engine regardless of product size. Runs the same
+/// loop as [`matmul_nt_packed`], packing `B` per tile instead of reading
+/// pre-packed panels, so the bits equal a product over a [`PackedB`] of
+/// the same rows.
 pub fn matmul_nt_stable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    gemm_stable(Layout::NT, a, b, c, m, k, n);
+    gemm_stable(Layout::NT, a, BSource::Pack(b), c, m, k, n);
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]` over raw row-major slices, batch-stable:
 /// always the blocked engine regardless of product size.
 pub fn matmul_nn_stable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    gemm_stable(Layout::NN, a, b, c, m, k, n);
+    gemm_stable(Layout::NN, a, BSource::Pack(b), c, m, k, n);
+}
+
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ` where `B` was packed ahead of time
+/// ([`PackedB`]): the blocked engine's loop — same micro-kernel, same
+/// M×N tile grid and parallel fan-out — reading `B` panels in place
+/// instead of packing them. Per-element accumulation is still ascending
+/// `k` inside each `KC` block and ascending blocks, so the bits equal
+/// [`matmul_nt_stable`] over the same `B` rows, and a row's bits do not
+/// depend on `m` or `n`.
+pub fn matmul_nt_packed(a: &[f32], b: PackedBRef<'_>, c: &mut [f32], m: usize) {
+    let (n, k) = (b.n, b.k);
+    assert!(
+        a.len() >= m * k,
+        "matmul_nt_packed: A holds {} < {m}x{k}",
+        a.len()
+    );
+    assert!(
+        c.len() >= m * n,
+        "matmul_nt_packed: C holds {} < {m}x{n}",
+        c.len()
+    );
+    gemm_stable(Layout::NT, a, BSource::Packed(b.data), c, m, k, n);
 }
 
 /// The `gemm` dispatch minus the small-product path: the blocked engine at
 /// the detected ISA tier, unconditionally.
-fn gemm_stable(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_stable(
+    layout: Layout,
+    a: &[f32],
+    b: BSource<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let start = std::time::Instant::now();
     if k == 0 || m == 0 || n == 0 {
         c[..m * n].iter_mut().for_each(|x| *x = 0.0);
@@ -244,6 +280,166 @@ fn gemm_stable(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k:
 }
 
 // ---------------------------------------------------------------------------
+// Pre-packed NT operands (serving weights, the LM head, cached keys).
+// ---------------------------------------------------------------------------
+
+/// Width `NR` of one packed `B` panel at the detected ISA tier — the
+/// column width of the micro-kernel [`gemm_stable`] dispatches to.
+pub(crate) fn panel_width() -> usize {
+    match simd::tier() {
+        #[cfg(target_arch = "x86_64")]
+        simd::IsaTier::Avx512 => 32,
+        #[cfg(target_arch = "x86_64")]
+        simd::IsaTier::Avx2Fma => 16,
+        simd::IsaTier::Portable => 16,
+    }
+}
+
+/// Floats of panel storage for a packed `[n, k]` NT operand:
+/// `⌈n/NR⌉ · NR · k` (the last panel zero-padded to full width).
+pub(crate) fn packed_len(n: usize, k: usize) -> usize {
+    let nr = panel_width();
+    n.div_ceil(nr) * nr * k
+}
+
+/// Writes row `j` of a `[n, k]` NT operand (`row.len() == k`) into panel
+/// storage: panel `j / NR`, lane `j % NR`, so `B[j][kk]` lands at
+/// `(j/NR)·NR·k + kk·NR + j%NR`. Each panel is `[k][NR]`, and `KC`
+/// block `k0..k0+kc` of a panel is the contiguous run the micro-kernel
+/// reads. Appending rows one at a time (a growing K cache) keeps every
+/// earlier row in place.
+pub(crate) fn pack_row_into(panels: &mut [f32], j: usize, row: &[f32]) {
+    let nr = panel_width();
+    let k = row.len();
+    let base = (j / nr) * nr * k + j % nr;
+    assert!(
+        k == 0 || base + (k - 1) * nr < panels.len(),
+        "panel storage too short for row {j}"
+    );
+    for (d, &v) in panels[base..].iter_mut().step_by(nr).zip(row) {
+        *d = v;
+    }
+}
+
+/// A `[n, k]` NT operand (`C = A·Bᵀ`, one row per output column) packed
+/// once into the blocked engine's `NR`-column panels at the detected ISA
+/// tier (see `pack_row_into` for the layout), so every later product
+/// reads it with [`matmul_nt_packed`] and packs nothing.
+#[derive(Clone, Debug, Default)]
+pub struct PackedB {
+    data: Vec<f32>,
+    n: usize,
+    k: usize,
+}
+
+/// A borrowed view of panel storage in [`PackedB`] layout: an owned
+/// [`PackedB`] or a prefix of panels written in place (a K cache).
+#[derive(Clone, Copy, Debug)]
+pub struct PackedBRef<'a> {
+    data: &'a [f32],
+    n: usize,
+    k: usize,
+}
+
+impl PackedB {
+    /// Packs row-major `b: [n, k]`.
+    pub fn pack(b: &[f32], n: usize, k: usize) -> Self {
+        let mut p = PackedB::default();
+        p.repack(b, n, k);
+        p
+    }
+
+    /// Repacks row-major `b: [n, k]` into this buffer, reusing its
+    /// allocation. Counted in [`stats::b_floats_packed`].
+    pub fn repack(&mut self, b: &[f32], n: usize, k: usize) {
+        assert!(b.len() >= n * k, "PackedB: B holds {} < {n}x{k}", b.len());
+        self.data.resize(packed_len(n, k), 0.0);
+        self.n = n;
+        self.k = k;
+        if k > 0 {
+            // Panel by panel, one contiguous NR-wide step at a time: the
+            // panel's rows stay cache-resident while it is gathered.
+            let nr = panel_width();
+            for (p, panel) in self.data.chunks_exact_mut(nr * k).enumerate() {
+                let rows = &b[p * nr * k..((p + 1) * nr).min(n) * k];
+                let cols = rows.len() / k;
+                for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
+                    for (j, d) in dst[..cols].iter_mut().enumerate() {
+                        *d = rows[j * k + kk];
+                    }
+                    dst[cols..].fill(0.0);
+                }
+            }
+        }
+        stats::record_b_packed(Layout::NT.index(), n * k);
+    }
+
+    /// Copies another packed operand in, reusing this allocation (the
+    /// serving prefetcher's H2D copy of one weight matrix).
+    pub fn copy_from(&mut self, src: &PackedB) {
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+        self.n = src.n;
+        self.k = src.k;
+    }
+
+    /// Output columns `n`.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Reduction depth `k`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The panel storage, padding included (element-wise transforms such
+    /// as a half-precision round-through keep padding at zero).
+    pub fn panels_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// A borrowed view for [`matmul_nt_packed`].
+    pub fn view(&self) -> PackedBRef<'_> {
+        PackedBRef {
+            data: &self.data,
+            n: self.n,
+            k: self.k,
+        }
+    }
+}
+
+impl<'a> PackedBRef<'a> {
+    /// Views `panels` as a packed `[n, k]` operand.
+    ///
+    /// # Panics
+    /// Panics unless `panels` holds at least `packed_len(n, k)` floats.
+    pub(crate) fn new(panels: &'a [f32], n: usize, k: usize) -> Self {
+        assert!(
+            panels.len() >= packed_len(n, k),
+            "PackedBRef: {} floats cannot hold {n}x{k} panels",
+            panels.len()
+        );
+        PackedBRef {
+            data: &panels[..packed_len(n, k)],
+            n,
+            k,
+        }
+    }
+
+    /// Unpacks to row-major `[n, k]`.
+    pub(crate) fn to_rows(self) -> Vec<f32> {
+        let nr = panel_width();
+        let mut out = Vec::with_capacity(self.n * self.k);
+        for j in 0..self.n {
+            let base = (j / nr) * nr * self.k + j % nr;
+            out.extend((0..self.k).map(|kk| self.data[base + kk * nr]));
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The blocked engine.
 // ---------------------------------------------------------------------------
 
@@ -254,6 +450,16 @@ enum Layout {
     NN,
     NT,
     TN,
+}
+
+/// Where the blocked engine reads its `B` panels from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// Row-major `B` (in the product's [`Layout`]), packed per tile and
+    /// `KC` block into thread-local scratch.
+    Pack(&'a [f32]),
+    /// Whole-operand panels in [`PackedB`] layout, read in place.
+    Packed(&'a [f32]),
 }
 
 impl Layout {
@@ -293,6 +499,7 @@ fn gemm(
     if flops < SMALL_FLOPS_THRESHOLD {
         gemm_small(layout, a, b, c, m, k, n, accumulate);
     } else {
+        let b = BSource::Pack(b);
         match simd::tier() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: feature presence verified by `tier()` at detection time.
@@ -480,12 +687,14 @@ thread_local! {
 
 /// The blocked engine proper. Generic over the micro-tile so each ISA
 /// tier gets register-file-matched shapes; `mk` is the ISA-specific
-/// micro-kernel instantiation.
+/// micro-kernel instantiation. `B` panels are either packed per tile
+/// here or read from a [`PackedB`]; both hand the micro-kernel the same
+/// panel contents, so the bits do not depend on which.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
     layout: Layout,
     a: &[f32],
-    b: &[f32],
+    b: BSource<'_>,
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -499,6 +708,14 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     let tiles_n = n.div_ceil(nc_max);
     let tasks = tiles_m * tiles_n;
     let cptr = SendPtr(c.as_mut_ptr());
+    match b {
+        // Every M tile packs its own copy of the B columns it covers.
+        BSource::Pack(_) => stats::record_b_packed(layout.index(), tiles_m * n * k),
+        BSource::Packed(panels) => {
+            assert_eq!(NR, panel_width(), "PackedB panel width vs micro-kernel");
+            assert!(panels.len() >= n.div_ceil(NR) * NR * k, "PackedB too short");
+        }
+    }
 
     let run_tile = |t: usize| {
         let ti = t / tiles_n;
@@ -515,19 +732,27 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
             if pa.len() < m_strips * MR * KC {
                 pa.resize(m_strips * MR * KC, 0.0);
             }
-            if pb.len() < n_panels * NR * KC {
+            if matches!(b, BSource::Pack(_)) && pb.len() < n_panels * NR * KC {
                 pb.resize(n_panels * NR * KC, 0.0);
             }
             // Ascending KC blocks: the only reduction order over k.
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let kc = (k - k0).min(KC);
                 pack_a::<MR>(layout == Layout::TN, a, pa, i0, mc, k0, kc, m, k);
-                pack_b::<NR>(layout == Layout::NT, b, pb, j0, nc, k0, kc, n, k);
+                if let BSource::Pack(b) = b {
+                    pack_b::<NR>(layout == Layout::NT, b, pb, j0, nc, k0, kc, n, k);
+                }
                 let add = accumulate || kb > 0;
                 for p in 0..n_panels {
                     let jr = p * NR;
                     let nr_eff = (nc - jr).min(NR);
-                    let pbp = &pb[p * NR * kc..(p + 1) * NR * kc];
+                    let pbp = match b {
+                        BSource::Pack(_) => &pb[p * NR * kc..(p + 1) * NR * kc],
+                        BSource::Packed(panels) => {
+                            let base = (j0 / NR + p) * NR * k + k0 * NR;
+                            &panels[base..base + NR * kc]
+                        }
+                    };
                     for s in 0..m_strips {
                         let ir = s * MR;
                         let mr_eff = (mc - ir).min(MR);
@@ -705,6 +930,7 @@ unsafe fn writeback<const MR: usize, const NR: usize>(
 /// atomic adds — it observes the kernels without perturbing their
 /// results.
 pub mod stats {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Layout names, indexed like the snapshot arrays.
@@ -718,6 +944,27 @@ pub mod stats {
         FLOPS[layout].fetch_add(flops, Ordering::Relaxed);
         NANOS[layout].fetch_add(nanos, Ordering::Relaxed);
         CALLS[layout].fetch_add(1, Ordering::Relaxed);
+    }
+
+    thread_local! {
+        static B_PACKED: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub(super) fn record_b_packed(layout: usize, floats: usize) {
+        B_PACKED.with(|c| {
+            let mut v = c.get();
+            v[layout] += floats as u64;
+            c.set(v);
+        });
+    }
+
+    /// `B`-operand floats packed by products *issued from the calling
+    /// thread*, cumulative, indexed `[nn, nt, tn]`: per-tile packing
+    /// counts every M tile's copy, and [`super::PackedB`] packing counts
+    /// once. Thread-local, so concurrent tests do not mix; a product a
+    /// thread issues counts there even when its tiles fan out.
+    pub fn b_floats_packed() -> [u64; 3] {
+        B_PACKED.with(Cell::get)
     }
 
     /// Cumulative statistics for one GEMM layout.
@@ -1083,6 +1330,101 @@ mod tests {
         }
     }
 
+    /// The pre-packed contract: a product over a [`PackedB`] equals
+    /// `matmul_nt_stable` over the same rows, the per-tile-packing engine
+    /// (`matmul_nt` above the small-product threshold) and one-row stable
+    /// products, bit for bit, under 1-, 2- and 8-thread pools.
+    fn check_packed_bitwise(m: usize, k: usize, n: usize, seed: u64) {
+        let mut rng = seeded_rng(seed);
+        let a = normal([m, k], 1.0, &mut rng);
+        let bt = normal([n, k], 1.0, &mut rng);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let packed = PackedB::pack(bt.data(), n, k);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut c = vec![0.0f32; m * n];
+            pool.install(|| matmul_nt_packed(a.data(), packed.view(), &mut c, m));
+            bits(&c)
+        };
+        let base = run(1);
+        assert_eq!(base, run(2), "{m}x{k}x{n}: 2-thread pool changed bits");
+        assert_eq!(base, run(8), "{m}x{k}x{n}: 8-thread pool changed bits");
+
+        let mut stable = vec![0.0f32; m * n];
+        matmul_nt_stable(a.data(), bt.data(), &mut stable, m, k, n);
+        assert_eq!(base, bits(&stable), "{m}x{k}x{n}: packed vs stable");
+        if 2 * m * n * k >= SMALL_FLOPS_THRESHOLD {
+            let tiled = matmul_nt(&a, &bt);
+            assert_eq!(base, bits(tiled.data()), "{m}x{k}x{n}: packed vs per-tile");
+        }
+        let mut row = vec![0.0f32; n];
+        for r in 0..m {
+            matmul_nt_packed(&a.data()[r * k..(r + 1) * k], packed.view(), &mut row, 1);
+            assert_eq!(
+                bits(&row),
+                base[r * n..(r + 1) * n],
+                "{m}x{k}x{n}: row {r} depends on m"
+            );
+        }
+        let naive = matmul_naive(&a, &transpose(&bt));
+        let c = Tensor::from_vec([m, n], stable);
+        assert!(c.max_abs_diff(&naive) < 1e-3, "{m}x{k}x{n}: vs naive");
+    }
+
+    #[test]
+    fn packed_nt_equals_stable_across_tiles_blocks_and_pools() {
+        // Several M tiles (m > MR·MC_STRIPS), k crossing two KC blocks, a
+        // padded last panel (n not a multiple of any NR), and enough FLOPs
+        // for the parallel tile fan-out.
+        check_packed_bitwise(200, 600, 70, 21);
+        const { assert!(2 * 200 * 600 * 70 >= PAR_FLOPS_THRESHOLD) };
+        check_packed_bitwise(1, 1, 1, 22);
+        check_packed_bitwise(3, KC, 33, 23);
+    }
+
+    #[test]
+    fn packed_view_round_trips_rows() {
+        let mut rng = seeded_rng(24);
+        let (n, k) = (37, 9);
+        let b = normal([n, k], 1.0, &mut rng);
+        let mut packed = PackedB::pack(b.data(), n, k);
+        assert_eq!(packed.view().to_rows(), b.data());
+        assert_eq!(packed.panels_mut().len(), packed_len(n, k));
+        let mut copy = PackedB::default();
+        copy.copy_from(&packed);
+        assert_eq!(copy.view().to_rows(), b.data());
+    }
+
+    #[test]
+    fn b_packing_is_counted_per_thread() {
+        let mut rng = seeded_rng(25);
+        let (m, k, n) = (4, 40, 24);
+        let a = normal([m, k], 1.0, &mut rng);
+        let bt = normal([n, k], 1.0, &mut rng);
+        let nt = |s: [u64; 3]| s[1];
+        let before = stats::b_floats_packed();
+        let packed = PackedB::pack(bt.data(), n, k);
+        let after_pack = stats::b_floats_packed();
+        assert_eq!(nt(after_pack) - nt(before), (n * k) as u64);
+        let mut c = vec![0.0f32; m * n];
+        matmul_nt_packed(a.data(), packed.view(), &mut c, m);
+        assert_eq!(
+            stats::b_floats_packed(),
+            after_pack,
+            "packed products pack nothing"
+        );
+        matmul_nt_stable(a.data(), bt.data(), &mut c, m, k, n);
+        assert_eq!(
+            nt(stats::b_floats_packed()) - nt(after_pack),
+            (n * k) as u64
+        );
+        let other = std::thread::spawn(stats::b_floats_packed).join().unwrap();
+        assert_eq!(other, [0; 3], "a fresh thread starts at zero");
+    }
+
     #[test]
     fn stats_accumulate_flops_and_calls() {
         let before = stats::snapshot();
@@ -1124,6 +1466,11 @@ mod tests {
             let fast = matmul_tn(&at, &b);
             let slow = matmul_naive(&transpose(&at), &b);
             prop_assert!(fast.max_abs_diff(&slow) < 1e-4);
+        }
+
+        #[test]
+        fn prop_packed_nt_bitwise(m in 1usize..140, k in 1usize..600, n in 1usize..70, seed in 0u64..1000) {
+            check_packed_bitwise(m, k, n, seed);
         }
 
         #[test]

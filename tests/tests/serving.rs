@@ -375,3 +375,33 @@ fn batched_lm_head_matches_per_slot_head_bitwise() {
         assert_eq!(a, b, "slot {s}: batched head logits differ");
     }
 }
+
+/// Serving packs once, at construction: engine rounds read every weight,
+/// the tied head and every cached key from pre-packed panels, so no round
+/// packs an NT `B` operand. The counter is per thread; with one compute
+/// worker the whole compute loop runs on the calling thread, which the
+/// live NN count (the context product's row copy of V) confirms.
+#[test]
+fn engine_rounds_pack_no_nt_operand() {
+    use stronghold_tensor::matmul::stats;
+    for precision in [Precision::F32, Precision::Bf16] {
+        let mut eng = ServeEngine::new(
+            tiny(3),
+            9,
+            ServeConfig {
+                precision,
+                ..ServeConfig::default()
+            },
+        );
+        let before = stats::b_floats_packed();
+        let out = eng.generate(workload());
+        assert_eq!(out.len(), 5);
+        let after = stats::b_floats_packed();
+        assert!(after[0] > before[0], "{precision:?}: rounds ran elsewhere");
+        assert_eq!(
+            after[1] - before[1],
+            0,
+            "{precision:?}: a round packed NT B floats"
+        );
+    }
+}
